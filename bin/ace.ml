@@ -71,6 +71,26 @@ let run input output geometry spice name quantum stats jobs tile strict
           run_stats.boxes run_stats.stops run_stats.max_active elapsed
           (float_of_int devs /. elapsed)
           (float_of_int run_stats.boxes /. elapsed);
+        let module Timing = Ace_core.Timing in
+        let timing = run_stats.Ace_core.Parallel.timing in
+        let phase p =
+          Printf.eprintf "  %-12s %.6f s\n" (Timing.phase_slug p)
+            (Timing.seconds timing p)
+        in
+        if run_stats.Ace_core.Parallel.shards = [] then begin
+          (* a flat run's phases are wall-clock slices of the extract:
+             whatever they miss is reported, never dropped *)
+          Printf.eprintf "ledger (extract wall %.6f s):\n" elapsed;
+          List.iter phase
+            [ Timing.Front_end; Timing.List_update; Timing.Devices; Timing.Output ];
+          Printf.eprintf "  %-12s %.6f s\n" "unattributed"
+            (elapsed -. Timing.total_seconds timing)
+        end
+        else begin
+          (* tiles overlap in wall clock: their phases sum to CPU time *)
+          Printf.eprintf "phases (CPU seconds summed over tiles):\n";
+          List.iter phase Timing.all_phases
+        end;
         if run_stats.Ace_core.Parallel.shards <> [] then begin
           Printf.eprintf
             "parallel: %d workers, %d tiles, stitch %.3f s, balance %.2f\n"

@@ -261,11 +261,16 @@ let extract_raw ~grid boxes labels =
         :: acc)
       dev_area []
   in
+  (* every element records its creation point *)
+  let locations =
+    Array.init (Union_find.count nets) (Hashtbl.find net_locations)
+  in
   ( {
       Ace_core.Engine.nets;
       net_names = !net_names;
-      net_locations;
-      net_phase = Hashtbl.create 1;
+      net_x = Array.map (fun (p : Point.t) -> p.x) locations;
+      net_y = Array.map (fun (p : Point.t) -> p.y) locations;
+      net_phase = Array.make (Array.length locations) 0;
       net_geometry = Hashtbl.create 1;
       devices;
       boundary_nets = [];

@@ -16,6 +16,15 @@ type stats = { stops : int; boxes_scanned : int }
 val extract :
   ?name:string -> Ace_cif.Design.t -> Ace_netlist.Circuit.t
 
+(** The raw result, packaged as an {!Ace_core.Engine.raw} so the standard
+    resolution applies; [labels] sorted by decreasing y.  Exposed so the
+    engine's per-device data can be checked against this oracle field by
+    field. *)
+val extract_raw :
+  (Layer.t * Box.t) list ->
+  Ace_cif.Design.label list ->
+  Ace_core.Engine.raw * stats
+
 val extract_with_stats :
   ?name:string -> Ace_cif.Design.t -> Ace_netlist.Circuit.t * stats
 

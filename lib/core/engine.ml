@@ -113,9 +113,16 @@ let side_above = 1
 let side_left = 2
 let side_right = 3
 
-let edge_key_less (p1, s1) (p2, s2) =
-  let c = Point.compare_yx p1 p2 in
-  c < 0 || (c = 0 && s1 < s2)
+(* (y, x, side) order on edge keys, unboxed *)
+let compare_edge_key x1 y1 s1 x2 y2 s2 =
+  let c = Int.compare y1 y2 in
+  if c <> 0 then c
+  else
+    let c = Int.compare x1 x2 in
+    if c <> 0 then c else Int.compare s1 s2
+
+let edge_key_less ((p1 : Point.t), s1) ((p2 : Point.t), s2) =
+  compare_edge_key p1.x p1.y s1 p2.x p2.y s2 < 0
 
 type face = West | East | South | North
 
@@ -145,8 +152,9 @@ type device_data = {
 type raw = {
   nets : Union_find.t;
   net_names : (int * string) list;
-  net_locations : (int, Point.t) Hashtbl.t;
-  net_phase : (int, int) Hashtbl.t;
+  net_x : int array;
+  net_y : int array;
+  net_phase : int array;
   net_geometry : (int, (Layer.t * Box.t) list) Hashtbl.t;
   devices : (int * device_data) list;
   boundary_nets : boundary_span list;
@@ -319,6 +327,29 @@ let find_net_at (v : Ivec.tagged) x =
   in
   go 0
 
+(* A growable flat int vector.  Union-find elements are handed out densely
+   from 0, so per-element state lives at index [e] of one of these — no
+   hash table, no boxed record per element — and append-only records
+   (gate pairs, edge contacts) are parallel vectors in push order. *)
+module Vec = struct
+  type t = { mutable data : int array; mutable len : int }
+
+  let create () = { data = Array.make 64 0; len = 0 }
+
+  let push v x =
+    if v.len = Array.length v.data then begin
+      let d = Array.make (2 * v.len) 0 in
+      Array.blit v.data 0 d 0 v.len;
+      v.data <- d
+    end;
+    v.data.(v.len) <- x;
+    v.len <- v.len + 1
+
+  let get v i = v.data.(i)
+  let set v i x = v.data.(i) <- x
+  let to_array v = Array.sub v.data 0 v.len
+end
+
 let run ?(cancel = Cancel.never) config source ~labels =
   Trace.with_span "engine.run" @@ fun () ->
   (* In window mode, clip lazily: tops at or above the window top pool
@@ -335,31 +366,36 @@ let run ?(cancel = Cancel.never) config source ~labels =
   let nets = Union_find.create () in
   let dev_uf = Union_find.create () in
   let net_names = ref [] in
-  let net_locations = Hashtbl.create 256 in
-  let net_phase = Hashtbl.create 256 in
+  (* per net element: creation point and phase *)
+  let net_x = Vec.create () and net_y = Vec.create () in
+  let net_phase = Vec.create () in
   let net_geometry = Hashtbl.create 256 in
   let warnings = ref [] in
   let warn fmt = Format.kasprintf (fun m -> warnings := m :: !warnings) fmt in
-  (* per device element accumulators *)
-  let dev_area : (int, int ref) Hashtbl.t = Hashtbl.create 64 in
-  let dev_implant : (int, int ref) Hashtbl.t = Hashtbl.create 64 in
-  let dev_bbox : (int, Box.t ref) Hashtbl.t = Hashtbl.create 64 in
-  let dev_gates = ref [] in
-  let dev_edges = ref [] in
+  (* per device element: area, implant area, bbox, boundary flag *)
+  let dev_area = Vec.create () and dev_implant = Vec.create () in
+  let dev_l = Vec.create () and dev_b = Vec.create () in
+  let dev_r = Vec.create () and dev_t = Vec.create () in
+  let dev_boundary = Vec.create () in
+  (* gate pairs (device element, poly net element), in push order *)
+  let gate_dev = Vec.create () and gate_net = Vec.create () in
+  (* edge contacts (device element, net element, length, minimal edge
+     position, side), in push order *)
+  let edge_dev = Vec.create () and edge_net = Vec.create () in
+  let edge_len = Vec.create () in
+  let edge_x = Vec.create () and edge_y = Vec.create () in
+  let edge_side = Vec.create () in
+  let push_edge dev net len x y side =
+    Vec.push edge_dev dev;
+    Vec.push edge_net net;
+    Vec.push edge_len len;
+    Vec.push edge_x x;
+    Vec.push edge_y y;
+    Vec.push edge_side side
+  in
   let dev_geometry : (int, Box.t list ref) Hashtbl.t = Hashtbl.create 64 in
-  let dev_boundary : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   let boundary_nets = ref [] in
   let boundary_channels = ref [] in
-  let accumulate tbl key v =
-    match Hashtbl.find_opt tbl key with
-    | Some r -> r := !r + v
-    | None -> Hashtbl.replace tbl key (ref v)
-  in
-  let grow_bbox key bx =
-    match Hashtbl.find_opt dev_bbox key with
-    | Some r -> r := Box.hull !r bx
-    | None -> Hashtbl.replace dev_bbox key (ref bx)
-  in
   let add_geometry tbl key item =
     match Hashtbl.find_opt tbl key with
     | Some r -> r := item :: !r
@@ -411,8 +447,9 @@ let run ?(cancel = Cancel.never) config source ~labels =
      x asc) is exactly element-creation order. *)
   let fresh_net ~phase lo y =
     let e = Union_find.fresh nets in
-    Hashtbl.replace net_locations e (Point.make lo y);
-    Hashtbl.replace net_phase e phase;
+    Vec.push net_x lo;
+    Vec.push net_y y;
+    Vec.push net_phase phase;
     e
   in
   let union_nets a b =
@@ -421,7 +458,17 @@ let run ?(cancel = Cancel.never) config source ~labels =
     if Union_find.class_count nets < before then
       Trace.incr Trace.Counter.Net_merges
   in
-  let fresh_dev _lo _hi = Union_find.fresh dev_uf in
+  let fresh_dev _lo _hi =
+    let e = Union_find.fresh dev_uf in
+    Vec.push dev_area 0;
+    Vec.push dev_implant 0;
+    Vec.push dev_l max_int;
+    Vec.push dev_b max_int;
+    Vec.push dev_r min_int;
+    Vec.push dev_t min_int;
+    Vec.push dev_boundary 0;
+    e
+  in
   let union_devs a b = ignore (Union_find.union dev_uf a b) in
 
   let record_boundary_tracks strip_bottom strip_top tracks chan =
@@ -456,7 +503,7 @@ let run ?(cancel = Cancel.never) config source ~labels =
         List.iter (fun (layer, tagged) -> record_track layer tagged) tracks;
         Ivec.iter_tagged chan ~f:(fun lo hi dev ->
             let mark face span =
-              Hashtbl.replace dev_boundary dev ();
+              Vec.set dev_boundary dev 1;
               boundary_channels :=
                 { cface = face; cspan = span; cdev = dev } :: !boundary_channels
             in
@@ -509,7 +556,7 @@ let run ?(cancel = Cancel.never) config source ~labels =
           let lo = new_chan.Ivec.tlo.(k)
           and hi = new_chan.Ivec.thi.(k)
           and dev = new_chan.Ivec.ttag.(k) in
-          accumulate dev_area dev ((hi - lo) * height);
+          Vec.set dev_area dev (Vec.get dev_area dev + ((hi - lo) * height));
           while
             !ic < implant_raw.Ivec.len && implant_raw.Ivec.hi.(!ic) <= lo
           do
@@ -523,15 +570,20 @@ let run ?(cancel = Cancel.never) config source ~labels =
               - max lo implant_raw.Ivec.lo.(!j);
             incr j
           done;
-          if !over > 0 then accumulate dev_implant dev (!over * height);
-          grow_bbox dev (Box.make ~l:lo ~b:bottom ~r:hi ~t:top);
+          if !over > 0 then
+            Vec.set dev_implant dev (Vec.get dev_implant dev + (!over * height));
+          if lo < Vec.get dev_l dev then Vec.set dev_l dev lo;
+          if bottom < Vec.get dev_b dev then Vec.set dev_b dev bottom;
+          if hi > Vec.get dev_r dev then Vec.set dev_r dev hi;
+          if top > Vec.get dev_t dev then Vec.set dev_t dev top;
           if config.emit_geometry then
             add_geometry dev_geometry dev (Box.make ~l:lo ~b:bottom ~r:hi ~t:top)
         done;
         (* gate nets: the poly interval covering each channel interval *)
         Ivec.iter_tagged_overlaps new_chan new_poly
           ~f:(fun dev poly_net _len _lo ->
-            dev_gates := (dev, poly_net) :: !dev_gates);
+            Vec.push gate_dev dev;
+            Vec.push gate_net poly_net);
         (* same-strip source/drain contacts: vertical edges where channel and
            conducting diffusion abut *)
         let rec adjacency ci di =
@@ -543,18 +595,12 @@ let run ?(cancel = Cancel.never) config source ~labels =
             and dhi = new_diff.Ivec.thi.(di)
             and net = new_diff.Ivec.ttag.(di) in
             if dhi <= clo then begin
-              if dhi = clo then
-                dev_edges :=
-                  (dev, net, height, Point.make clo bottom, side_left)
-                  :: !dev_edges;
+              if dhi = clo then push_edge dev net height clo bottom side_left;
               adjacency ci (di + 1)
             end
             else begin
               (* disjoint tracks: here dlo >= chi *)
-              if dlo = chi then
-                dev_edges :=
-                  (dev, net, height, Point.make chi bottom, side_right)
-                  :: !dev_edges;
+              if dlo = chi then push_edge dev net height chi bottom side_right;
               adjacency (ci + 1) di
             end
           end
@@ -562,11 +608,9 @@ let run ?(cancel = Cancel.never) config source ~labels =
         adjacency 0 0;
         (* cross-strip source/drain contacts along the strip boundary *)
         Ivec.iter_tagged_overlaps new_chan !prev_diff ~f:(fun dev net len lo ->
-            dev_edges :=
-              (dev, net, len, Point.make lo top, side_above) :: !dev_edges);
+            push_edge dev net len lo top side_above);
         Ivec.iter_tagged_overlaps !prev_chan new_diff ~f:(fun dev net len lo ->
-            dev_edges :=
-              (dev, net, len, Point.make lo top, side_below) :: !dev_edges);
+            push_edge dev net len lo top side_below);
         (* contact cuts connect metal/poly/diffusion; buried contacts connect
            poly and diffusion.  Each track keeps a cursor that only advances
            (vias ascend), so a strip's bridging is linear overall; the ids
@@ -768,92 +812,106 @@ let run ?(cancel = Cancel.never) config source ~labels =
       warn "label %S at (%d,%d) lies below all geometry" lab.name
         lab.position.Point.x lab.position.Point.y)
     !pending_labels;
-  (* fold per-element device data by device-class root *)
-  let devices =
+  (* Fold per-element device data by device-class root.  Each element's
+     root is found once; the element vectors then fold in place (a root's
+     slots accumulate its whole class), gate pairs and edge contacts are
+     re-keyed by that root array, and the device list comes out in
+     ascending root order. *)
+  let devices, dev_root =
     Timing.charge timing Timing.Output (fun () ->
-        let by_root : (int, device_data ref) Hashtbl.t = Hashtbl.create 64 in
-        Hashtbl.iter
-          (fun elem area ->
-            let root = Union_find.find dev_uf elem in
-            let implant =
-              match Hashtbl.find_opt dev_implant elem with
-              | Some r -> !r
-              | None -> 0
-            in
-            let bbox =
-              match Hashtbl.find_opt dev_bbox elem with
-              | Some r -> !r
-              | None -> assert false
-            in
-            let geometry =
-              match Hashtbl.find_opt dev_geometry elem with
-              | Some r -> !r
-              | None -> []
-            in
-            let touches = Hashtbl.mem dev_boundary elem in
-            match Hashtbl.find_opt by_root root with
-            | Some r ->
-                r :=
-                  {
-                    !r with
-                    area = !r.area + !area;
-                    implant_area = !r.implant_area + implant;
-                    bbox = Box.hull !r.bbox bbox;
-                    channel_geometry = geometry @ !r.channel_geometry;
-                    touches_boundary = !r.touches_boundary || touches;
-                  }
-            | None ->
-                Hashtbl.replace by_root root
-                  (ref
-                     {
-                       area = !area;
-                       implant_area = implant;
-                       bbox;
-                       gate = -1;
-                       contacts = [];
-                       channel_geometry = geometry;
-                       touches_boundary = touches;
-                     }))
-          dev_area;
-        List.iter
-          (fun (dev, gate_elem) ->
-            let root = Union_find.find dev_uf dev in
-            match Hashtbl.find_opt by_root root with
-            | Some r -> if !r.gate < 0 then r := { !r with gate = gate_elem }
-            | None -> ())
-          !dev_gates;
-        (* aggregate edge contacts per (device root, net root); keep the
-           minimal edge position for deterministic terminal tie-breaks *)
-        let contact_len : (int * int, (int * (Point.t * int)) ref) Hashtbl.t =
-          Hashtbl.create 64
+        let n = Union_find.count dev_uf in
+        let root = Array.init n (fun e -> Union_find.find dev_uf e) in
+        for e = 0 to n - 1 do
+          let r = root.(e) in
+          if r <> e then begin
+            Vec.set dev_area r (Vec.get dev_area r + Vec.get dev_area e);
+            Vec.set dev_implant r (Vec.get dev_implant r + Vec.get dev_implant e);
+            Vec.set dev_l r (Int.min (Vec.get dev_l r) (Vec.get dev_l e));
+            Vec.set dev_b r (Int.min (Vec.get dev_b r) (Vec.get dev_b e));
+            Vec.set dev_r r (Int.max (Vec.get dev_r r) (Vec.get dev_r e));
+            Vec.set dev_t r (Int.max (Vec.get dev_t r) (Vec.get dev_t e));
+            Vec.set dev_boundary r
+              (Vec.get dev_boundary r lor Vec.get dev_boundary e)
+          end
+        done;
+        (* a class's gate is its last-pushed gate pair *)
+        let gate = Array.make n (-1) in
+        for i = 0 to gate_dev.Vec.len - 1 do
+          gate.(root.(Vec.get gate_dev i)) <- Vec.get gate_net i
+        done;
+        (* aggregate edge contacts per (device root, net root): sorting the
+           edges by (device root, net root, edge key) makes each pair a run
+           whose first edge carries the minimal edge key — the
+           deterministic terminal tie-break *)
+        let m = edge_dev.Vec.len in
+        let droot = Array.init m (fun i -> root.(Vec.get edge_dev i)) in
+        let nroot =
+          Array.init m (fun i -> Union_find.find nets (Vec.get edge_net i))
         in
-        List.iter
-          (fun (dev, net, len, pos, side) ->
-            let key = (Union_find.find dev_uf dev, Union_find.find nets net) in
-            match Hashtbl.find_opt contact_len key with
-            | Some r ->
-                let total, best = !r in
-                r :=
-                  ( total + len,
-                    if edge_key_less (pos, side) best then (pos, side) else best )
-            | None -> Hashtbl.replace contact_len key (ref (len, (pos, side))))
-          !dev_edges;
-        Hashtbl.iter
-          (fun (dev_root, net_root) r ->
-            let len, (pos, side) = !r in
-            match Hashtbl.find_opt by_root dev_root with
-            | Some d ->
-                d := { !d with contacts = (net_root, len, pos, side) :: !d.contacts }
-            | None -> ())
-          contact_len;
-        Hashtbl.fold (fun root r acc -> (root, !r) :: acc) by_root [])
+        let order = Array.init m Fun.id in
+        Array.stable_sort
+          (fun a b ->
+            let c = Int.compare droot.(a) droot.(b) in
+            if c <> 0 then c
+            else
+              let c = Int.compare nroot.(a) nroot.(b) in
+              if c <> 0 then c
+              else
+                compare_edge_key (Vec.get edge_x a) (Vec.get edge_y a)
+                  (Vec.get edge_side a) (Vec.get edge_x b) (Vec.get edge_y b)
+                  (Vec.get edge_side b))
+          order;
+        let contacts = Array.make n [] in
+        let i = ref 0 in
+        while !i < m do
+          let best = order.(!i) in
+          let d = droot.(best) and net = nroot.(best) in
+          let total = ref 0 in
+          while !i < m && droot.(order.(!i)) = d && nroot.(order.(!i)) = net do
+            total := !total + Vec.get edge_len order.(!i);
+            incr i
+          done;
+          contacts.(d) <-
+            ( net,
+              !total,
+              Point.make (Vec.get edge_x best) (Vec.get edge_y best),
+              Vec.get edge_side best )
+            :: contacts.(d)
+        done;
+        let geometry = Array.make n [] in
+        if config.emit_geometry then
+          for e = n - 1 downto 0 do
+            match Hashtbl.find_opt dev_geometry e with
+            | Some g -> geometry.(root.(e)) <- !g @ geometry.(root.(e))
+            | None -> ()
+          done;
+        let devices = ref [] in
+        for e = n - 1 downto 0 do
+          if root.(e) = e then
+            devices :=
+              ( e,
+                {
+                  area = Vec.get dev_area e;
+                  implant_area = Vec.get dev_implant e;
+                  bbox =
+                    Box.make ~l:(Vec.get dev_l e) ~b:(Vec.get dev_b e)
+                      ~r:(Vec.get dev_r e) ~t:(Vec.get dev_t e);
+                  gate = gate.(e);
+                  contacts = contacts.(e);
+                  channel_geometry = geometry.(e);
+                  touches_boundary = Vec.get dev_boundary e <> 0;
+                } )
+              :: !devices
+        done;
+        (!devices, root))
   in
   Trace.count Trace.Counter.Transistors (List.length devices);
   {
     nets;
     net_names = !net_names;
-    net_locations;
-    net_phase;
+    net_x = Vec.to_array net_x;
+    net_y = Vec.to_array net_y;
+    net_phase = Vec.to_array net_phase;
     net_geometry =
       (let tbl = Hashtbl.create 64 in
        Hashtbl.iter (fun k r -> Hashtbl.replace tbl k !r) net_geometry;
@@ -862,9 +920,7 @@ let run ?(cancel = Cancel.never) config source ~labels =
     boundary_nets = !boundary_nets;
     boundary_channels =
       (* resolve element ids to the device roots used by [devices] *)
-      List.map
-        (fun bc -> { bc with cdev = Union_find.find dev_uf bc.cdev })
-        !boundary_channels;
+      List.map (fun bc -> { bc with cdev = dev_root.(bc.cdev) }) !boundary_channels;
     warnings = List.rev !warnings;
     stops = !stops;
     max_active = !max_active;

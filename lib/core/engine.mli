@@ -51,8 +51,11 @@ val side_above : int
 val side_left : int
 val side_right : int
 
-(** Lexicographic order on (position, side) keys. *)
+(** Lexicographic order on (position, side) keys: y, then x, then side. *)
 val edge_key_less : Point.t * int -> Point.t * int -> bool
+
+(** The same order, unboxed: [compare_edge_key x1 y1 s1 x2 y2 s2]. *)
+val compare_edge_key : int -> int -> int -> int -> int -> int -> int
 
 type face = West | East | South | North
 
@@ -100,23 +103,26 @@ type device_data = {
 type raw = {
   nets : Union_find.t;  (** net elements; classes are electrical nets *)
   net_names : (int * string) list;  (** label attachments *)
-  net_locations : (int, Point.t) Hashtbl.t;
-      (** element creation points: (span lo, top of the strip where the
-          element first appeared).  The strip top at creation is the
-          (clipped) transition y of the geometry itself, so it is
-          independent of how the rest of the chip partitions the scan —
-          a window-mode run over a tile records the same point the flat
-          scan does for any element whose creation lies inside the
+  net_x : int array;
+  net_y : int array;
+      (** per net element [e] (dense, [0 .. Union_find.count nets - 1]),
+          its creation point [(net_x.(e), net_y.(e))]: (span lo, top of
+          the strip where the element first appeared).  The strip top at
+          creation is the (clipped) transition y of the geometry itself,
+          so it is independent of how the rest of the chip partitions the
+          scan — a window-mode run over a tile records the same point the
+          flat scan does for any element whose creation lies inside the
           window. *)
-  net_phase : (int, int) Hashtbl.t;
-      (** element creation phase within its strip: 0 = diffusion, 1 =
-          poly, 2 = metal — the order the engine runs net assignment.
-          [(y desc, phase asc, x asc)] over creation records is exactly
-          element-creation order, which lets the parallel extractor
-          reconstruct the flat extractor's net numbering from per-tile
-          scans (see {!Parallel}). *)
+  net_phase : int array;
+      (** per net element, its creation phase within its strip: 0 =
+          diffusion, 1 = poly, 2 = metal — the order the engine runs net
+          assignment.  [(y desc, phase asc, x asc)] over creation records
+          is exactly element-creation order, which lets the parallel
+          extractor reconstruct the flat extractor's net numbering from
+          per-tile scans (see {!Parallel}). *)
   net_geometry : (int, (Layer.t * Box.t) list) Hashtbl.t;
-  devices : (int * device_data) list;  (** (device element root, data) *)
+  devices : (int * device_data) list;
+      (** (device element root, data), in ascending root order *)
   boundary_nets : boundary_span list;
   boundary_channels : boundary_channel list;
   warnings : string list;

@@ -18,12 +18,9 @@ let channel_terminals ~gate ~area ~contacts =
      flat and hierarchical extraction always agree *)
   let contacts =
     List.sort
-      (fun (_, la, pa, sa) (_, lb, pb, sb) ->
+      (fun (_, la, (pa : Point.t), sa) (_, lb, (pb : Point.t), sb) ->
         let c = Int.compare lb la in
-        if c <> 0 then c
-        else if Engine.edge_key_less (pa, sa) (pb, sb) then -1
-        else if Engine.edge_key_less (pb, sb) (pa, sa) then 1
-        else 0)
+        if c <> 0 then c else Engine.compare_edge_key pa.x pa.y sa pb.x pb.y sb)
       contacts
   in
   let source, drain, width =
@@ -38,11 +35,12 @@ let channel_terminals ~gate ~area ~contacts =
   let length = max 1 (area / width) in
   (source, drain, width, length)
 
-let resolve_device nets dense (data : Engine.device_data) =
-  let resolve e = dense.(Union_find.find nets e) in
-  let gate = if data.gate >= 0 then resolve data.gate else 0 in
+(* [dense] maps every element (not just roots) to its class, so a
+   terminal resolves with one array read. *)
+let resolve_device dense (data : Engine.device_data) =
+  let gate = if data.gate >= 0 then dense.(data.gate) else 0 in
   let contacts =
-    List.map (fun (n, l, p, side) -> (resolve n, l, p, side)) data.contacts
+    List.map (fun (n, l, p, side) -> (dense.(n), l, p, side)) data.contacts
   in
   let source, drain, width, length =
     channel_terminals ~gate ~area:data.area ~contacts
@@ -59,6 +57,14 @@ let resolve_device nets dense (data : Engine.device_data) =
     geometry = List.map (fun bx -> (Layer.Diffusion, bx)) data.channel_geometry;
   }
 
+(* Location (y, then x), then every other field: a total order, so the
+   device numbering never depends on the order the devices arrive in —
+   two distinct channels can share a bbox corner. *)
+let device_order (a : Circuit.device) (b : Circuit.device) =
+  match Point.compare_yx a.location b.location with
+  | 0 -> Stdlib.compare a b
+  | c -> c
+
 let circuit_of_raw ~name ~include_partial (raw : Engine.raw) =
   let nets = raw.nets in
   let dense = Union_find.compress nets in
@@ -66,37 +72,34 @@ let circuit_of_raw ~name ~include_partial (raw : Engine.raw) =
   let names = Array.make class_count [] in
   List.iter
     (fun (e, n) ->
-      let c = dense.(Union_find.find nets e) in
+      let c = dense.(e) in
       names.(c) <- n :: names.(c))
     raw.net_names;
   (* location: the creation point of the earliest (topmost-created) element
-     of each class *)
-  let locations = Array.make class_count None in
-  let first_elem = Array.make class_count max_int in
-  Hashtbl.iter
-    (fun e loc ->
-      let c = dense.(Union_find.find nets e) in
-      if e < first_elem.(c) then begin
-        first_elem.(c) <- e;
-        locations.(c) <- Some loc
-      end)
-    raw.net_locations;
+     of each class — element ids ascend in creation order, so the first
+     element seen per class wins *)
+  let loc_x = Array.make class_count 0 and loc_y = Array.make class_count 0 in
+  let located = Array.make class_count false in
+  for e = 0 to Array.length raw.net_x - 1 do
+    let c = dense.(e) in
+    if not located.(c) then begin
+      located.(c) <- true;
+      loc_x.(c) <- raw.net_x.(e);
+      loc_y.(c) <- raw.net_y.(e)
+    end
+  done;
   let geometry = Array.make class_count [] in
   Hashtbl.iter
     (fun e boxes ->
-      let c = dense.(Union_find.find nets e) in
+      let c = dense.(e) in
       geometry.(c) <- boxes @ geometry.(c))
     raw.net_geometry;
   (* order nets by descending location y (the figures list top nets first) *)
   let order = Array.init class_count (fun i -> i) in
-  let loc_of i =
-    match locations.(i) with Some p -> p | None -> Point.origin
-  in
   Array.sort
     (fun a b ->
-      let pa = loc_of a and pb = loc_of b in
-      let c = Int.compare pb.Point.y pa.Point.y in
-      if c <> 0 then c else Int.compare pa.Point.x pb.Point.x)
+      let c = Int.compare loc_y.(b) loc_y.(a) in
+      if c <> 0 then c else Int.compare loc_x.(a) loc_x.(b))
     order;
   let position = Array.make class_count 0 in
   Array.iteri (fun rank c -> position.(c) <- rank) order;
@@ -116,8 +119,8 @@ let circuit_of_raw ~name ~include_partial (raw : Engine.raw) =
         in
         {
           Circuit.names = List.sort_uniq String.compare names.(c);
-          location = loc_of c;
-          geometry = coalesce geometry.(c);
+          location = Point.make loc_x.(c) loc_y.(c);
+          geometry = (match geometry.(c) with [] -> [] | g -> coalesce g);
         })
       order
   in
@@ -127,10 +130,8 @@ let circuit_of_raw ~name ~include_partial (raw : Engine.raw) =
     raw.devices
     |> List.filter (fun (_, (d : Engine.device_data)) ->
            include_partial || not d.touches_boundary)
-    |> List.map (fun (_, d) -> resolve_device nets dense_ordered d)
-    |> List.sort (fun (a : Circuit.device) b ->
-           let c = Int.compare a.location.Point.y b.location.Point.y in
-           if c <> 0 then c else Int.compare a.location.Point.x b.location.Point.x)
+    |> List.map (fun (_, d) -> resolve_device dense_ordered d)
+    |> List.sort device_order
     |> Array.of_list
   in
   { Circuit.name; devices; nets = nets_arr }

@@ -49,6 +49,11 @@ val extract_boxes :
   (Layer.t * Box.t) list ->
   Circuit.t
 
+(** The order of a circuit's devices: location (y, then x), ties broken
+    by the remaining fields, so it is total.  Shared with the parallel
+    extractor's canonicalization. *)
+val device_order : Circuit.device -> Circuit.device -> int
+
 (** Resolve an {!Engine.raw} result into a circuit.  Exposed for HEXT.
     [include_partial] keeps boundary-touching channels as devices (flat
     extraction wants [true]; HEXT separates them). *)
@@ -72,7 +77,6 @@ val channel_terminals :
   int * int * int * int
 
 (** Resolve one channel component into a device, mapping net elements
-    through the union-find and a compression array.  Exposed for HEXT's
-    leaf windows. *)
-val resolve_device :
-  Union_find.t -> int array -> Engine.device_data -> Circuit.device
+    through a per-element class array ({!Union_find.compress}, or a
+    renumbering of it).  Exposed for HEXT's leaf windows. *)
+val resolve_device : int array -> Engine.device_data -> Circuit.device

@@ -69,6 +69,14 @@ let device_of_partial p ~resolve : Hier.hdevice =
     location = Box.min_corner p.p_bbox;
   }
 
+(* The flat extractor's device order ({!Extractor.device_order}) on
+   part devices: location, then every other field — total, so a part's
+   device list never depends on hash-table or raw-device order. *)
+let hdevice_order (a : Hier.hdevice) (b : Hier.hdevice) =
+  match Point.compare_yx a.location b.location with
+  | 0 -> Stdlib.compare a b
+  | c -> c
+
 (* Coalesce same-tag spans that overlap or abut. *)
 let coalesce_spans spans =
   let tbl = Hashtbl.create 16 in
@@ -140,7 +148,7 @@ let leaf_of_raw ~next_id ~window (raw : Engine.raw) =
           :: !partials
       end
       else begin
-        let cd = Extractor.resolve_device nets dense d in
+        let cd = Extractor.resolve_device dense d in
         devices :=
           {
             Hier.dtype = cd.Circuit.dtype;
@@ -177,10 +185,7 @@ let leaf_of_raw ~next_id ~window (raw : Engine.raw) =
         net_count;
         exports = List.sort_uniq Int.compare (List.map (fun s -> s.net) iface);
         net_names;
-        devices =
-          List.sort
-            (fun (a : Hier.hdevice) b -> Point.compare_yx a.location b.location)
-            !devices;
+        devices = List.sort hdevice_order !devices;
         instances = [];
       };
     iface;
@@ -458,9 +463,7 @@ let compose ~next_id a b ~offset =
       else partials := { p with p_spans = coalesce_spans p.p_spans } :: !partials)
     groups;
   let devices =
-    List.sort
-      (fun (a : Hier.hdevice) b -> Point.compare_yx a.location b.location)
-      !devices
+    List.sort hdevice_order !devices
   and partials =
     List.sort (fun a b -> Box.compare a.p_bbox b.p_bbox) !partials
   in

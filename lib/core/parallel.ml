@@ -116,27 +116,25 @@ let shard_labels grid labels =
    to bottom, phases (diffusion, poly, metal) in engine order within a
    strip, spans left to right within a phase.  The engine records each
    element's creation as (strip top, phase, span lo) — see
-   {!Engine.raw.net_locations} — and that key is intrinsic to the
-   geometry, not to how the scan was windowed.  [key_earlier] is
-   element-creation order over those keys. *)
+   {!Engine.raw.net_x} / [net_y] / [net_phase] — and that key is
+   intrinsic to the geometry, not to how the scan was windowed.
+   [key_earlier] is element-creation order over those keys. *)
 let key_earlier (y1, p1, x1) (y2, p2, x2) =
   y1 > y2 || (y1 = y2 && (p1 < p2 || (p1 = p2 && x1 < x2)))
 
 (* Per part-local net (the same dense numbering {!Fragment.leaf_of_raw}
    uses), the earliest creation key of the class, in chip coordinates. *)
 let leaf_net_keys (raw : Engine.raw) =
-  let nets = raw.Engine.nets in
+  let { Engine.nets; net_x; net_y; net_phase; _ } = raw in
   let dense = Union_find.compress nets in
   let keys = Array.make (Union_find.class_count nets) None in
-  Hashtbl.iter
-    (fun e (p : Point.t) ->
-      let phase = try Hashtbl.find raw.Engine.net_phase e with Not_found -> 0 in
-      let k = (p.Point.y, phase, p.Point.x) in
-      let c = dense.(Union_find.find nets e) in
-      match keys.(c) with
-      | Some k0 when key_earlier k0 k -> ()
-      | _ -> keys.(c) <- Some k)
-    raw.Engine.net_locations;
+  for e = 0 to Array.length net_x - 1 do
+    let k = (net_y.(e), net_phase.(e), net_x.(e)) in
+    let c = dense.(e) in
+    match keys.(c) with
+    | Some k0 when key_earlier k0 k -> ()
+    | _ -> keys.(c) <- Some k
+  done;
   keys
 
 (* ------------------------------------------------------------------ *)
@@ -381,7 +379,7 @@ let run_tiles ~cancel ~nworkers ~tcount work =
    classes by that full (y, phase, x) key reproduces the flat dense
    order — so running the very same sort yields the very same
    permutation, ties included.  Devices are re-sorted with the flat
-   comparator (location y then x, ascending). *)
+   comparator, {!Extractor.device_order}. *)
 let canonicalize ~name ~(bb : Box.t) (circuit : Circuit.t) activations
     tile_keys =
   let class_count = Array.length circuit.Circuit.nets in
@@ -453,10 +451,7 @@ let canonicalize ~name ~(bb : Box.t) (circuit : Circuit.t) activations
              drain = position.(d.drain);
              location = Point.add d.location (Point.make bb.Box.l bb.Box.b);
            })
-    |> List.sort (fun (a : Circuit.device) b ->
-           let c = Int.compare a.location.Point.y b.location.Point.y in
-           if c <> 0 then c
-           else Int.compare a.location.Point.x b.location.Point.x)
+    |> List.sort Extractor.device_order
     |> Array.of_list
   in
   { Circuit.name; devices; nets }

@@ -5,6 +5,19 @@ exception Error of string
 
 let fail fmt = Format.kasprintf (fun m -> raise (Error m)) fmt
 
+(* Decimal integer straight into the buffer, no intermediate string. *)
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int buf n =
+  if n >= 0 then add_digits buf n
+  else if n = min_int then Buffer.add_string buf (string_of_int n)
+  else begin
+    Buffer.add_char buf '-';
+    add_digits buf (-n)
+  end
+
 module Geometry_text = struct
   let layer_name = function
     | None -> "NX"
@@ -16,8 +29,17 @@ module Geometry_text = struct
     List.iter
       (fun (lyr, (bx : Box.t)) ->
         let c = Box.center bx in
-        Printf.bprintf buf "L %s; B L%d W%d C%d %d; " (layer_name lyr)
-          (Box.width bx) (Box.height bx) c.Point.x c.Point.y)
+        Buffer.add_string buf "L ";
+        Buffer.add_string buf (layer_name lyr);
+        Buffer.add_string buf "; B L";
+        add_int buf (Box.width bx);
+        Buffer.add_string buf " W";
+        add_int buf (Box.height bx);
+        Buffer.add_string buf " C";
+        add_int buf c.Point.x;
+        Buffer.add_char buf ' ';
+        add_int buf c.Point.y;
+        Buffer.add_string buf "; ")
       boxes;
     Buffer.contents buf
 
@@ -73,48 +95,90 @@ end
 (* Writer                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let net_id i = Printf.sprintf "N%d" i
-
 let to_buffer ?(emit_geometry = false) buf (c : Circuit.t) =
-  let pr fmt = Printf.bprintf buf fmt in
-  pr "(DefPart %S\n" c.name;
-  pr "(DefPart nEnh (Export Source Gate Drain))\n";
-  pr "(DefPart nDep (Export Source Gate Drain))\n";
+  let str = Buffer.add_string buf and chr = Buffer.add_char buf in
+  let int = add_int buf in
+  let net i =
+    chr 'N';
+    int i
+  in
+  (* OCaml's %S quoting, byte for byte *)
+  str "(DefPart \"";
+  str (String.escaped c.name);
+  str "\"\n";
+  str "(DefPart nEnh (Export Source Gate Drain))\n";
+  str "(DefPart nDep (Export Source Gate Drain))\n";
   Array.iteri
     (fun i (d : Circuit.device) ->
-      pr "(Part %s (InstName D%d) (Location %d %d)\n"
-        (Nmos.device_type_name d.dtype)
-        i d.location.Point.x d.location.Point.y;
-      pr " (T Gate %s) (T Source %s) (T Drain %s)\n" (net_id d.gate)
-        (net_id d.source) (net_id d.drain);
-      pr " (Channel (Length %d) (Width %d)" d.length d.width;
-      if emit_geometry && d.geometry <> [] then
-        pr "\n  ( CIF \"%s\")"
+      str "(Part ";
+      str (Nmos.device_type_name d.dtype);
+      str " (InstName D";
+      int i;
+      str ") (Location ";
+      int d.location.Point.x;
+      chr ' ';
+      int d.location.Point.y;
+      str ")\n (T Gate ";
+      net d.gate;
+      str ") (T Source ";
+      net d.source;
+      str ") (T Drain ";
+      net d.drain;
+      str ")\n (Channel (Length ";
+      int d.length;
+      str ") (Width ";
+      int d.width;
+      chr ')';
+      if emit_geometry && d.geometry <> [] then begin
+        str "\n  ( CIF \"";
+        str
           (Geometry_text.to_string
              (List.map (fun (_, bx) -> (None, bx)) d.geometry));
-      pr "))\n")
+        str "\")"
+      end;
+      str "))\n")
     c.devices;
   Array.iteri
     (fun i (n : Circuit.net) ->
-      pr "(Net %s" (net_id i);
-      List.iter (fun name -> pr " %s" name) n.names;
-      pr " (Location %d %d)" n.location.Point.x n.location.Point.y;
-      if emit_geometry && n.geometry <> [] then
-        pr "\n ( CIF \"%s\")"
+      str "(Net ";
+      net i;
+      List.iter
+        (fun name ->
+          chr ' ';
+          str name)
+        n.names;
+      str " (Location ";
+      int n.location.Point.x;
+      chr ' ';
+      int n.location.Point.y;
+      chr ')';
+      if emit_geometry && n.geometry <> [] then begin
+        str "\n ( CIF \"";
+        str
           (Geometry_text.to_string
              (List.map (fun (lyr, bx) -> (Some lyr, bx)) n.geometry));
-      pr ")\n")
+        str "\")"
+      end;
+      str ")\n")
     c.nets;
-  pr "(Local";
-  Array.iteri (fun i _ -> pr " %s" (net_id i)) c.nets;
-  pr "))\n"
+  str "(Local";
+  Array.iteri
+    (fun i _ ->
+      chr ' ';
+      net i)
+    c.nets;
+  str "))\n"
 
 let to_string ?emit_geometry c =
   let buf = Buffer.create 4096 in
   to_buffer ?emit_geometry buf c;
   Buffer.contents buf
 
-let to_channel ?emit_geometry oc c = output_string oc (to_string ?emit_geometry c)
+(* Write the buffer itself: no copy of the whole wirelist into a string. *)
+let to_channel ?emit_geometry oc c =
+  let buf = Buffer.create 65536 in
+  to_buffer ?emit_geometry buf c;
+  Buffer.output_buffer oc buf
 
 (* ------------------------------------------------------------------ *)
 (* Reader                                                              *)

@@ -410,6 +410,193 @@ let prop_agrees_with_raster =
         (Ace_baseline.Raster.extract_boxes ~grid:1 layout))
 
 (* ------------------------------------------------------------------ *)
+(* Device fold: order independence and the oracle                      *)
+(* ------------------------------------------------------------------ *)
+
+let raw_of_design design =
+  let stream = Ace_cif.Stream.create design in
+  let labels = Ace_cif.Stream.labels stream in
+  Ace_core.Engine.run Ace_core.Engine.default_config
+    (Ace_core.Engine.source_of_stream stream)
+    ~labels
+
+let wirelist_of_raw raw =
+  Wirelist.to_string
+    (Ace_core.Extractor.circuit_of_raw ~name:"chip" ~include_partial:true raw)
+
+let shuffle rng l =
+  let a = Array.of_list l in
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  Array.to_list a
+
+(* [raw.devices] (and each device's contacts) in a seeded random order *)
+let shuffle_devices seed (raw : Ace_core.Engine.raw) =
+  let rng = Random.State.make [| seed |] in
+  let devices =
+    List.map
+      (fun (root, (d : Ace_core.Engine.device_data)) ->
+        (root, { d with contacts = shuffle rng d.contacts }))
+      raw.devices
+  in
+  { raw with devices = shuffle rng devices }
+
+let corpus_designs =
+  lazy
+    (let dir =
+       List.find Sys.file_exists [ "../data"; "data"; "_build/default/data" ]
+     in
+     Sys.readdir dir |> Array.to_list |> List.sort String.compare
+     |> List.filter (fun f ->
+            Filename.check_suffix f ".cif" && f <> "broken.cif")
+     |> List.map (fun f ->
+            ( f,
+              Ace_cif.Design.of_ast
+                (Ace_cif.Parser.parse_file (Filename.concat dir f)) )))
+
+(* One input per draw, as a thunk producing its raw scan: a data/
+   fixture, a random-logic workload, or a random box soup (where
+   coincident device corners are most likely). *)
+let gen_fold_input =
+  let open QCheck2.Gen in
+  let corpus = Lazy.force corpus_designs in
+  oneof
+    [
+      map
+        (fun i ->
+          let name, design = List.nth corpus i in
+          (name, fun () -> raw_of_design design))
+        (int_bound (List.length corpus - 1));
+      map
+        (fun (cells, seed) ->
+          ( Printf.sprintf "random_logic ~cells:%d ~seed:%d" cells seed,
+            fun () ->
+              raw_of_design
+                (Ace_cif.Design.of_ast
+                   (Ace_workloads.Chips.random_logic ~cells ~seed ())) ))
+        (pair (int_range 2 12) (int_bound 1000));
+      map
+        (fun layout ->
+          ( Tutil.print_layout layout,
+            fun () ->
+              Ace_core.Engine.run Ace_core.Engine.default_config
+                (Ace_core.Engine.source_of_boxes layout)
+                ~labels:[] ))
+        (Tutil.gen_layout ~max_boxes:40 ());
+    ]
+
+let prop_fold_order_independent =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:120
+       ~name:"wirelist ignores raw device and contact order"
+       ~print:(fun ((name, _), seed) ->
+         Printf.sprintf "%s, shuffle seed %d" name seed)
+       QCheck2.Gen.(pair gen_fold_input (int_bound 1_000_000))
+       (fun ((_, raw_of), seed) ->
+         let raw = raw_of () in
+         wirelist_of_raw raw = wirelist_of_raw (shuffle_devices seed raw)))
+
+(* Two distinct channels whose bboxes share the lower-left corner (20, 8)
+   — the tie the location sort alone leaves to arrival order (found by
+   the property above).  Every shuffle must render the same wirelist. *)
+let test_fold_location_tie () =
+  let layout =
+    [
+      (Layer.Diffusion, box ~l:19 ~b:10 ~r:27 ~t:11);
+      (Layer.Poly, box ~l:20 ~b:2 ~r:28 ~t:11);
+      (Layer.Diffusion, box ~l:13 ~b:8 ~r:21 ~t:9);
+      (Layer.Diffusion, box ~l:27 ~b:8 ~r:33 ~t:11);
+      (Layer.Poly, box ~l:28 ~b:9 ~r:33 ~t:10);
+    ]
+  in
+  let raw =
+    Ace_core.Engine.run Ace_core.Engine.default_config
+      (Ace_core.Engine.source_of_boxes layout)
+      ~labels:[]
+  in
+  let c = Ace_core.Extractor.circuit_of_raw ~name:"chip" ~include_partial:true raw in
+  check_int "two devices" 2 (Circuit.device_count c);
+  check "same location" true
+    (Point.equal (device c 0).location (device c 1).location);
+  let reference = wirelist_of_raw raw in
+  for seed = 0 to 19 do
+    Alcotest.(check string)
+      (Printf.sprintf "shuffle seed %d" seed)
+      reference
+      (wirelist_of_raw (shuffle_devices seed raw))
+  done
+
+(* A U-shaped channel: poly legs down either side of an inner diffusion
+   island, joined by a poly bar at the bottom.  The two legs are separate
+   channel elements in every strip but the lowest, where the bar merges
+   them — the fold must combine them exactly as the oracle does. *)
+let test_u_channel_matches_region () =
+  let boxes =
+    [
+      (Layer.Diffusion, box ~l:0 ~b:0 ~r:30 ~t:20);
+      (Layer.Poly, box ~l:5 ~b:5 ~r:8 ~t:25);
+      (Layer.Poly, box ~l:20 ~b:5 ~r:23 ~t:25);
+      (Layer.Poly, box ~l:5 ~b:5 ~r:23 ~t:8);
+      (Layer.Implant, box ~l:0 ~b:10 ~r:10 ~t:30);
+    ]
+  in
+  let label name x y layer =
+    { Ace_cif.Design.name; position = Point.make x y; layer = Some layer }
+  in
+  (* decreasing y, as the engine requires *)
+  let labels =
+    [
+      label "G" 6 24 Layer.Poly;
+      label "IN" 14 14 Layer.Diffusion;
+      label "OUT" 1 1 Layer.Diffusion;
+    ]
+  in
+  let engine =
+    Ace_core.Engine.run Ace_core.Engine.default_config
+      (Ace_core.Engine.source_of_boxes boxes)
+      ~labels
+  in
+  let region, _ = Ace_baseline.Region.extract_raw boxes labels in
+  let name_of (raw : Ace_core.Engine.raw) e =
+    match
+      List.find_opt
+        (fun (n, _) -> Union_find.same raw.nets n e)
+        raw.net_names
+    with
+    | Some (_, name) -> name
+    | None -> "?"
+  in
+  let view (raw : Ace_core.Engine.raw) =
+    match raw.devices with
+    | [ (_, d) ] ->
+        ( (d.area, d.implant_area, d.bbox, name_of raw d.gate),
+          List.sort compare
+            (List.map
+               (fun (n, len, (p : Point.t), side) ->
+                 (name_of raw n, len, p.x, p.y, side))
+               d.contacts) )
+    | ds -> Alcotest.failf "expected one device, got %d" (List.length ds)
+  in
+  let (area, implant, bbox, gate), contacts = view engine in
+  let (r_area, r_implant, r_bbox, r_gate), r_contacts = view region in
+  check_int "area" r_area area;
+  check_int "implant area" r_implant implant;
+  check "bbox" true (Box.equal r_bbox bbox);
+  Alcotest.(check string) "gate" r_gate gate;
+  Alcotest.(check string) "gate is G" "G" gate;
+  Alcotest.(check (list (pair string (pair int (pair int (pair int int))))))
+    "contacts"
+    (List.map (fun (n, l, x, y, s) -> (n, (l, (x, (y, s))))) r_contacts)
+    (List.map (fun (n, l, x, y, s) -> (n, (l, (x, (y, s))))) contacts);
+  check "both terminals seen" true
+    (List.sort_uniq compare (List.map (fun (n, _, _, _, _) -> n) contacts)
+    = [ "IN"; "OUT" ])
+
+(* ------------------------------------------------------------------ *)
 (* End-to-end through CIF                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -633,6 +820,10 @@ let () =
           prop_mirror_invariant;
           prop_agrees_with_region;
           prop_agrees_with_raster;
+          prop_fold_order_independent;
+          Alcotest.test_case "device location tie" `Quick test_fold_location_tie;
+          Alcotest.test_case "U channel matches region" `Quick
+            test_u_channel_matches_region;
           Alcotest.test_case "baseline statistics" `Quick test_baseline_stats;
         ] );
       ( "end-to-end",

@@ -381,6 +381,120 @@ let test_wirelist_rejects_garbage () =
     | exception Wirelist.Error _ -> true
     | _ -> false)
 
+(* The format rendered field by field through Printf: the byte-exact
+   reference the buffer writer must match. *)
+let printf_wirelist ~emit_geometry (c : Circuit.t) =
+  let buf = Buffer.create 256 in
+  let pr fmt = Printf.bprintf buf fmt in
+  let net_id i = Printf.sprintf "N%d" i in
+  let geometry boxes =
+    let g = Buffer.create 64 in
+    Buffer.add_string g " ";
+    List.iter
+      (fun (lyr, (bx : Box.t)) ->
+        let p = Box.center bx in
+        Printf.bprintf g "L %s; B L%d W%d C%d %d; "
+          (match lyr with None -> "NX" | Some l -> Layer.to_cif_name l)
+          (Box.width bx) (Box.height bx) p.Point.x p.Point.y)
+      boxes;
+    Buffer.contents g
+  in
+  pr "(DefPart %S\n" c.name;
+  pr "(DefPart nEnh (Export Source Gate Drain))\n";
+  pr "(DefPart nDep (Export Source Gate Drain))\n";
+  Array.iteri
+    (fun i (d : Circuit.device) ->
+      pr "(Part %s (InstName D%d) (Location %d %d)\n"
+        (Nmos.device_type_name d.dtype)
+        i d.location.Point.x d.location.Point.y;
+      pr " (T Gate %s) (T Source %s) (T Drain %s)\n" (net_id d.gate)
+        (net_id d.source) (net_id d.drain);
+      pr " (Channel (Length %d) (Width %d)" d.length d.width;
+      if emit_geometry && d.geometry <> [] then
+        pr "\n  ( CIF \"%s\")"
+          (geometry (List.map (fun (_, bx) -> (None, bx)) d.geometry));
+      pr "))\n")
+    c.devices;
+  Array.iteri
+    (fun i (n : Circuit.net) ->
+      pr "(Net %s" (net_id i);
+      List.iter (fun name -> pr " %s" name) n.names;
+      pr " (Location %d %d)" n.location.Point.x n.location.Point.y;
+      if emit_geometry && n.geometry <> [] then
+        pr "\n ( CIF \"%s\")"
+          (geometry (List.map (fun (lyr, bx) -> (Some lyr, bx)) n.geometry));
+      pr ")\n")
+    c.nets;
+  pr "(Local";
+  Array.iteri (fun i _ -> pr " %s" (net_id i)) c.nets;
+  pr "))\n";
+  Buffer.contents buf
+
+let test_wirelist_part_name_escaping () =
+  (* a quote, a backslash, a newline, a tab and a non-ASCII byte *)
+  let name = "we\"ird\\part\nname\t\xe9" in
+  let c = { (inverter_circuit ()) with Circuit.name } in
+  let text = Wirelist.to_string c in
+  let expected = Printf.sprintf "(DefPart %S\n" name in
+  Alcotest.(check string) "escaped like %S" expected
+    (String.sub text 0 (String.length expected));
+  Alcotest.(check string) "whole wirelist" (printf_wirelist ~emit_geometry:false c)
+    text
+
+let test_wirelist_extreme_integers () =
+  let c = inverter_circuit () in
+  let c =
+    {
+      c with
+      Circuit.devices =
+        Array.map
+          (fun (d : Circuit.device) ->
+            { d with Circuit.location = Point.make min_int max_int })
+          c.Circuit.devices;
+      nets =
+        Array.map
+          (fun (n : Circuit.net) ->
+            { n with Circuit.location = Point.make (-1) 0 })
+          c.Circuit.nets;
+    }
+  in
+  Alcotest.(check string) "min_int, max_int, -1, 0"
+    (printf_wirelist ~emit_geometry:false c)
+    (Wirelist.to_string c)
+
+(* random circuits, with geometry on some devices and nets *)
+let prop_wirelist_matches_printf =
+  Tutil.qtest ~count:200 "wirelist bytes match the Printf writer"
+    QCheck2.Gen.(pair Tutil.gen_circuit bool)
+    (fun (c, emit_geometry) ->
+      let box_at (p : Point.t) =
+        Box.make ~l:(p.x - 3) ~b:(p.y - 5) ~r:(p.x + 4) ~t:(p.y + 1)
+      in
+      let c =
+        {
+          c with
+          Circuit.devices =
+            Array.mapi
+              (fun i (d : Circuit.device) ->
+                if i mod 2 = 0 then d
+                else
+                  { d with geometry = [ (Layer.Diffusion, box_at d.location) ] })
+              c.Circuit.devices;
+          nets =
+            Array.mapi
+              (fun i (n : Circuit.net) ->
+                if i mod 3 = 0 then n
+                else
+                  {
+                    n with
+                    geometry =
+                      [ (Layer.Metal, box_at n.location); (Layer.Poly, box_at Point.origin) ];
+                  })
+              c.Circuit.nets;
+        }
+      in
+      Wirelist.to_string ~emit_geometry c = printf_wirelist ~emit_geometry c)
+
 (* ------------------------------------------------------------------ *)
 (* SPICE                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -712,6 +826,10 @@ let () =
           Alcotest.test_case "paper shape" `Quick test_wirelist_matches_paper_shape;
           Alcotest.test_case "geometry text" `Quick test_geometry_text;
           Alcotest.test_case "rejects garbage" `Quick test_wirelist_rejects_garbage;
+          Alcotest.test_case "part name escaping" `Quick
+            test_wirelist_part_name_escaping;
+          Alcotest.test_case "extreme integers" `Quick test_wirelist_extreme_integers;
+          prop_wirelist_matches_printf;
         ] );
       ( "spice",
         [
