@@ -73,50 +73,9 @@ let corpus =
 
 let () = assert (corpus <> [])
 
-(* CIF-flavored alphabet so mutations stay near the interesting grammar
-   instead of being rejected at the first byte *)
-let alphabet = "PBWRLDCESF0123456789-;() \n\tMXYT94QZ"
-
-let random_char () = alphabet.[Random.State.int rng (String.length alphabet)]
-
-let mutate src =
-  let b = Bytes.of_string src in
-  let len = Bytes.length b in
-  if len = 0 then String.make 1 (random_char ())
-  else
-    match Random.State.int rng 5 with
-    | 0 ->
-        (* flip some bytes *)
-        for _ = 0 to Random.State.int rng 8 do
-          Bytes.set b (Random.State.int rng len) (random_char ())
-        done;
-        Bytes.to_string b
-    | 1 ->
-        (* truncate *)
-        Bytes.sub_string b 0 (Random.State.int rng len)
-    | 2 ->
-        (* delete a span *)
-        let i = Random.State.int rng len in
-        let n = min (len - i) (1 + Random.State.int rng 40) in
-        Bytes.sub_string b 0 i ^ Bytes.sub_string b (i + n) (len - i - n)
-    | 3 ->
-        (* insert a random fragment *)
-        let i = Random.State.int rng (len + 1) in
-        let frag =
-          String.init (1 + Random.State.int rng 12) (fun _ -> random_char ())
-        in
-        Bytes.sub_string b 0 i ^ frag ^ Bytes.sub_string b i (len - i)
-    | _ ->
-        (* splice: duplicate a slice somewhere else *)
-        let i = Random.State.int rng len in
-        let n = min (len - i) (1 + Random.State.int rng 60) in
-        let j = Random.State.int rng (len + 1) in
-        Bytes.sub_string b 0 j
-        ^ Bytes.sub_string b i n
-        ^ Bytes.sub_string b j (len - j)
-
-let random_soup () =
-  String.init (Random.State.int rng 400) (fun _ -> random_char ())
+(* byte-level mutations and command soup over the CIF alphabet *)
+let mutate = Cif_mutate.mutate rng
+let random_soup () = Cif_mutate.random_soup rng
 
 let failures = ref 0
 
