@@ -14,9 +14,6 @@ let fail ~code pos fmt =
     (fun message -> raise (Perror { position = pos; code; message }))
     fmt
 
-let is_digit c = c >= '0' && c <= '9'
-let is_upper c = c >= 'A' && c <= 'Z'
-
 type def_state = {
   def_id : int;
   scale_num : int;
@@ -38,273 +35,282 @@ let scale st n =
 
 let scale_point st (p : Point.t) = Point.make (scale st p.x) (scale st p.y)
 
-(* The lexer is generic in how it reads characters, so the same code path
-   serves an in-memory string and a memory-mapped file without copying
-   either.  Each instantiation is compiled separately; the cursor logic
-   below never indexes past [length] (every access is guarded by a bounds
-   check or a preceding [peek]). *)
-module type CHARS = sig
-  type t
+(* The lexer reads one concretely typed bigstring, so every byte access
+   compiles to an inline load.  A mapped file is lexed in place; an
+   in-memory string is copied into a bigstring once. *)
+type bigstring =
+  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-  val length : t -> int
-  val get : t -> int -> char
-  val sub : t -> int -> int -> string
-end
+type cursor = { src : bigstring; len : int; mutable pos : int }
 
-module Make (S : CHARS) = struct
-  type cursor = { src : S.t; mutable pos : int }
+(* The byte at [i], which the caller has checked is below [len]. *)
+let byte cur i = Char.code (Bigarray.Array1.unsafe_get cur.src i)
 
-  let peek cur = if cur.pos < S.length cur.src then Some (S.get cur.src cur.pos) else None
+(* The current byte code, or -1 at end of input. *)
+let peek cur = if cur.pos < cur.len then byte cur cur.pos else -1
 
-  (* Skip CIF blanks: anything that is not a digit, uppercase letter, '-',
-     '(', ')' or ';'.  Parenthesized comments nest and count as blank. *)
-  let rec skip_blanks cur =
-    match peek cur with
-    | None -> ()
-    | Some '(' ->
-        let opened = cur.pos in
-        let depth = ref 0 in
-        let continue = ref true in
-        while !continue do
-          (match peek cur with
-          | None ->
-              fail ~code:"cif-unterminated-comment" opened "unterminated comment"
-          | Some '(' -> incr depth
-          | Some ')' -> if !depth = 1 then continue := false else decr depth
-          | Some _ -> ());
-          cur.pos <- cur.pos + 1
-        done;
-        skip_blanks cur
-    | Some c when is_digit c || is_upper c || c = '-' || c = ';' || c = ')' -> ()
-    | Some _ ->
-        cur.pos <- cur.pos + 1;
-        skip_blanks cur
+let is_digit c = c >= Char.code '0' && c <= Char.code '9'
+let is_upper c = c >= Char.code 'A' && c <= Char.code 'Z'
 
-  let read_int cur =
-    skip_blanks cur;
-    let neg =
-      match peek cur with
-      | Some '-' ->
-          cur.pos <- cur.pos + 1;
-          true
-      | _ -> false
-    in
-    let start = cur.pos in
-    while match peek cur with Some c when is_digit c -> true | _ -> false do
+let sub cur start len =
+  String.init len (fun i -> Bigarray.Array1.unsafe_get cur.src (start + i))
+
+(* Skip CIF blanks: anything that is not a digit, uppercase letter, '-',
+   '(', ')' or ';'.  Parenthesized comments nest and count as blank. *)
+let rec skip_blanks cur =
+  let c = peek cur in
+  if c = Char.code '(' then begin
+    let opened = cur.pos in
+    let depth = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let c = peek cur in
+      if c < 0 then
+        fail ~code:"cif-unterminated-comment" opened "unterminated comment"
+      else if c = Char.code '(' then incr depth
+      else if c = Char.code ')' then
+        if !depth = 1 then continue := false else decr depth;
       cur.pos <- cur.pos + 1
     done;
-    if cur.pos = start then
-      fail ~code:"cif-expected-integer" cur.pos "expected an integer";
-    let digits = S.sub cur.src start (cur.pos - start) in
-    match int_of_string digits with
-    | n -> if neg then -n else n
-    | exception Failure _ ->
-        fail ~code:"cif-integer-overflow" start
-          "integer literal '%s%s' out of range"
-          (if neg then "-" else "")
-          digits
-
-  let try_read_int cur =
-    skip_blanks cur;
-    match peek cur with
-    | Some c when is_digit c || c = '-' -> Some (read_int cur)
-    | Some _ | None -> None
-
-  let read_point cur =
-    let x = read_int cur in
-    let y = read_int cur in
-    Point.make x y
-
-  let expect_semi cur =
-    skip_blanks cur;
-    match peek cur with
-    | Some ';' -> cur.pos <- cur.pos + 1
-    | Some c -> fail ~code:"cif-expected-semi" cur.pos "expected ';', found %c" c
-    | None ->
-        fail ~code:"cif-expected-semi" cur.pos "expected ';', found end of input"
-
-  (* Read the rest of the command verbatim (for user extensions). *)
-  let read_to_semi cur =
-    let start = cur.pos in
-    while
-      match peek cur with
-      | Some ';' -> false
-      | Some _ -> true
-      | None ->
-          fail ~code:"cif-unterminated-command" start "unterminated command"
-    do
-      cur.pos <- cur.pos + 1
-    done;
-    let text = S.sub cur.src start (cur.pos - start) in
+    skip_blanks cur
+  end
+  else if
+    c >= 0
+    && not
+         (is_digit c || is_upper c || c = Char.code '-' || c = Char.code ';'
+        || c = Char.code ')')
+  then begin
     cur.pos <- cur.pos + 1;
-    String.trim text
+    skip_blanks cur
+  end
 
-  let read_layer_name cur =
+(* Digits accumulate in place; the literal's text is only built for the
+   overflow diagnostic, which names it exactly as written. *)
+let read_int cur =
+  skip_blanks cur;
+  let neg = peek cur = Char.code '-' in
+  if neg then cur.pos <- cur.pos + 1;
+  let start = cur.pos in
+  let n = ref 0 and overflow = ref false in
+  while is_digit (peek cur) do
+    let d = byte cur cur.pos - Char.code '0' in
+    if !n > (max_int - d) / 10 then overflow := true else n := (!n * 10) + d;
+    cur.pos <- cur.pos + 1
+  done;
+  if cur.pos = start then
+    fail ~code:"cif-expected-integer" cur.pos "expected an integer";
+  if !overflow then
+    fail ~code:"cif-integer-overflow" start "integer literal '%s%s' out of range"
+      (if neg then "-" else "")
+      (sub cur start (cur.pos - start));
+  if neg then - !n else !n
+
+(* Does an integer start at the next non-blank byte? *)
+let at_int cur =
+  skip_blanks cur;
+  let c = peek cur in
+  is_digit c || c = Char.code '-'
+
+let read_point cur =
+  let x = read_int cur in
+  let y = read_int cur in
+  Point.make x y
+
+let expect_semi cur =
+  skip_blanks cur;
+  let c = peek cur in
+  if c = Char.code ';' then cur.pos <- cur.pos + 1
+  else if c >= 0 then
+    fail ~code:"cif-expected-semi" cur.pos "expected ';', found %c" (Char.chr c)
+  else fail ~code:"cif-expected-semi" cur.pos "expected ';', found end of input"
+
+(* Read the rest of the command verbatim (for user extensions). *)
+let read_to_semi cur =
+  let start = cur.pos in
+  while
+    let c = peek cur in
+    if c < 0 then
+      fail ~code:"cif-unterminated-command" start "unterminated command";
+    c <> Char.code ';'
+  do
+    cur.pos <- cur.pos + 1
+  done;
+  let text = sub cur start (cur.pos - start) in
+  cur.pos <- cur.pos + 1;
+  String.trim text
+
+let read_layer_name cur =
+  skip_blanks cur;
+  let start = cur.pos in
+  while
+    let c = peek cur in
+    is_upper c || is_digit c
+  do
+    cur.pos <- cur.pos + 1
+  done;
+  if cur.pos = start then
+    fail ~code:"cif-expected-layer-name" cur.pos "expected a layer name";
+  sub cur start (cur.pos - start)
+
+let read_points_until_semi cur =
+  let rec go acc =
+    if at_int cur then
+      let x = read_int cur in
+      let y = read_int cur in
+      go (Point.make x y :: acc)
+    else List.rev acc
+  in
+  go []
+
+let read_transform_ops cur =
+  let rec go acc =
     skip_blanks cur;
-    let start = cur.pos in
-    while
-      match peek cur with
-      | Some c when is_upper c || is_digit c -> true
-      | Some _ | None -> false
-    do
-      cur.pos <- cur.pos + 1
-    done;
-    if cur.pos = start then
-      fail ~code:"cif-expected-layer-name" cur.pos "expected a layer name";
-    S.sub cur.src start (cur.pos - start)
-
-  let read_points_until_semi cur =
-    let rec go acc =
-      match try_read_int cur with
-      | None -> List.rev acc
-      | Some x ->
-          let y = read_int cur in
-          go (Point.make x y :: acc)
-    in
-    go []
-
-  let read_transform_ops cur =
-    let rec go acc =
+    let c = peek cur in
+    if c = Char.code 'T' then begin
+      cur.pos <- cur.pos + 1;
+      let dx = read_int cur in
+      let dy = read_int cur in
+      go (Ast.Translate (dx, dy) :: acc)
+    end
+    else if c = Char.code 'M' then begin
+      cur.pos <- cur.pos + 1;
       skip_blanks cur;
-      match peek cur with
-      | Some 'T' ->
-          cur.pos <- cur.pos + 1;
-          let dx = read_int cur in
-          let dy = read_int cur in
-          go (Ast.Translate (dx, dy) :: acc)
-      | Some 'M' ->
-          cur.pos <- cur.pos + 1;
-          skip_blanks cur;
-          (match peek cur with
-          | Some 'X' ->
-              cur.pos <- cur.pos + 1;
-              go (Ast.Mirror_x :: acc)
-          | Some 'Y' ->
-              cur.pos <- cur.pos + 1;
-              go (Ast.Mirror_y :: acc)
-          | _ -> fail ~code:"cif-bad-transform" cur.pos "expected X or Y after M")
-      | Some 'R' ->
-          cur.pos <- cur.pos + 1;
-          let a = read_int cur in
-          let b = read_int cur in
-          go (Ast.Rotate (a, b) :: acc)
-      | Some _ | None -> List.rev acc
-    in
-    go []
+      let c = peek cur in
+      if c = Char.code 'X' then begin
+        cur.pos <- cur.pos + 1;
+        go (Ast.Mirror_x :: acc)
+      end
+      else if c = Char.code 'Y' then begin
+        cur.pos <- cur.pos + 1;
+        go (Ast.Mirror_y :: acc)
+      end
+      else fail ~code:"cif-bad-transform" cur.pos "expected X or Y after M"
+    end
+    else if c = Char.code 'R' then begin
+      cur.pos <- cur.pos + 1;
+      let a = read_int cur in
+      let b = read_int cur in
+      go (Ast.Rotate (a, b) :: acc)
+    end
+    else List.rev acc
+  in
+  go []
 
-  (* A word of uppercase letters (used after a label position for an optional
-     layer name); returns None at ';'. *)
-  let try_read_word cur =
+(* A word of uppercase letters (used after a label position for an optional
+   layer name); returns None at ';'. *)
+let try_read_word cur =
+  skip_blanks cur;
+  if is_upper (peek cur) then Some (read_layer_name cur) else None
+
+(* Labels in extension 94: a name is any run of non-blank, non-';'
+   characters starting at the first non-blank position. *)
+let read_label_name cur =
+  let is_space c =
+    c = Char.code ' ' || c = Char.code '\t' || c = Char.code '\n'
+    || c = Char.code '\r'
+  in
+  while
+    let c = peek cur in
+    is_space c || c = Char.code ','
+  do
+    cur.pos <- cur.pos + 1
+  done;
+  let start = cur.pos in
+  while
+    let c = peek cur in
+    c >= 0 && c <> Char.code ';' && not (is_space c)
+  do
+    cur.pos <- cur.pos + 1
+  done;
+  if cur.pos = start then
+    fail ~code:"cif-expected-label-name" cur.pos "expected a label name";
+  sub cur start (cur.pos - start)
+
+(* Recovery: skip forward to just past the next ';'.  Stop (without
+   consuming) at an 'E' or "DF" that follows at least one consumed
+   character, so end-of-definition and end-of-file markers inside garbage
+   still close their scopes.  Raw byte scan on purpose: after an error the
+   comment/blank structure cannot be trusted. *)
+let resync cur =
+  let start = cur.pos in
+  let len = cur.len in
+  (* a marker only counts when it is not a prefix of a longer word *)
+  let word_ends_at i =
+    i >= len || not (is_upper (byte cur i) || is_digit (byte cur i))
+  in
+  let stop = ref false in
+  while not !stop do
+    if cur.pos >= len then stop := true
+    else
+      let c = byte cur cur.pos in
+      if c = Char.code ';' then begin
+        cur.pos <- cur.pos + 1;
+        stop := true
+      end
+      else if
+        (c = Char.code 'E' && cur.pos > start && word_ends_at (cur.pos + 1))
+        || c = Char.code 'D'
+           && cur.pos > start
+           && cur.pos + 1 < len
+           && byte cur (cur.pos + 1) = Char.code 'F'
+           && word_ends_at (cur.pos + 2)
+      then stop := true
+      else cur.pos <- cur.pos + 1
+  done;
+  (* guarantee progress even when the error position itself is the marker *)
+  if cur.pos = start && start < len then cur.pos <- start + 1
+
+(* [collector = None] is strict mode: the first [Perror] propagates.  With
+   a collector every error is recorded and parsing resumes at the next
+   synchronization point, so the returned AST covers everything that could
+   be salvaged. *)
+let parse ?collector src =
+  let cur = { src; len = Bigarray.Array1.dim src; pos = 0 } in
+  let symbols = ref [] in
+  let top = ref [] in
+  let current_def : def_state option ref = ref None in
+  let current_layer = ref None in
+  let add_element e =
+    match !current_def with
+    | Some d -> d.def_elements <- e :: d.def_elements
+    | None -> top := e :: !top
+  in
+  let require_layer pos =
+    match !current_layer with
+    | Some layer -> layer
+    | None ->
+        fail ~code:"cif-no-layer" pos "geometry before any L (layer) command"
+  in
+  let add_shape layer shape = add_element (Ast.Shape { layer; shape }) in
+  let commit_def (d : def_state) =
+    symbols :=
+      { Ast.id = d.def_id; name = d.def_name; elements = List.rev d.def_elements }
+      :: !symbols;
+    current_def := None;
+    (* CIF: the current layer does not survive a definition *)
+    current_layer := None
+  in
+  let finished = ref false in
+  let step () =
     skip_blanks cur;
-    match peek cur with
-    | Some c when is_upper c -> Some (read_layer_name cur)
-    | Some _ | None -> None
-
-  (* Labels in extension 94: a name is any run of non-blank, non-';'
-     characters starting at the first non-blank position. *)
-  let read_label_name cur =
-    let rec skip_soft () =
-      match peek cur with
-      | Some c when c = ' ' || c = '\t' || c = '\n' || c = '\r' || c = ',' ->
-          cur.pos <- cur.pos + 1;
-          skip_soft ()
-      | _ -> ()
-    in
-    skip_soft ();
-    let start = cur.pos in
-    while
-      match peek cur with
-      | Some c when c <> ';' && c <> ' ' && c <> '\t' && c <> '\n' && c <> '\r' ->
-          true
-      | Some _ | None -> false
-    do
-      cur.pos <- cur.pos + 1
-    done;
-    if cur.pos = start then
-      fail ~code:"cif-expected-label-name" cur.pos "expected a label name";
-    S.sub cur.src start (cur.pos - start)
-
-  (* Recovery: skip forward to just past the next ';'.  Stop (without
-     consuming) at an 'E' or "DF" that follows at least one consumed
-     character, so end-of-definition and end-of-file markers inside garbage
-     still close their scopes.  Raw byte scan on purpose: after an error the
-     comment/blank structure cannot be trusted. *)
-  let resync cur =
-    let start = cur.pos in
-    let len = S.length cur.src in
-    (* a marker only counts when it is not a prefix of a longer word *)
-    let word_ends_at i =
-      i >= len || not (is_upper (S.get cur.src i) || is_digit (S.get cur.src i))
-    in
-    let stop = ref false in
-    while not !stop do
-      if cur.pos >= len then stop := true
-      else
-        match S.get cur.src cur.pos with
-        | ';' ->
-            cur.pos <- cur.pos + 1;
-            stop := true
-        | 'E' when cur.pos > start && word_ends_at (cur.pos + 1) -> stop := true
-        | 'D'
-          when cur.pos > start
-               && cur.pos + 1 < len
-               && S.get cur.src (cur.pos + 1) = 'F'
-               && word_ends_at (cur.pos + 2) ->
-            stop := true
-        | _ -> cur.pos <- cur.pos + 1
-    done;
-    (* guarantee progress even when the error position itself is the marker *)
-    if cur.pos = start && start < len then cur.pos <- start + 1
-
-  (* [collector = None] is strict mode: the first [Perror] propagates.  With
-     a collector every error is recorded and parsing resumes at the next
-     synchronization point, so the returned AST covers everything that could
-     be salvaged. *)
-  let parse ?collector src =
-    let cur = { src; pos = 0 } in
-    let symbols = ref [] in
-    let top = ref [] in
-    let current_def : def_state option ref = ref None in
-    let current_layer = ref None in
-    let add_element e =
+    let c = peek cur in
+    if c < 0 then
       match !current_def with
-      | Some d -> d.def_elements <- e :: d.def_elements
-      | None -> top := e :: !top
-    in
-    let require_layer pos =
-      match !current_layer with
-      | Some layer -> layer
-      | None ->
-          fail ~code:"cif-no-layer" pos "geometry before any L (layer) command"
-    in
-    let add_shape layer shape = add_element (Ast.Shape { layer; shape }) in
-    let commit_def (d : def_state) =
-      symbols :=
-        { Ast.id = d.def_id; name = d.def_name; elements = List.rev d.def_elements }
-        :: !symbols;
-      current_def := None;
-      (* CIF: the current layer does not survive a definition *)
-      current_layer := None
-    in
-    let finished = ref false in
-    let step () =
-      skip_blanks cur;
-      match peek cur with
-      | None -> (
-          match !current_def with
-          | Some _ ->
-              fail ~code:"cif-unterminated-definition" cur.pos
-                "end of input inside a symbol definition (missing DF)"
-          | None -> fail ~code:"cif-missing-end" cur.pos "missing E (end) command")
-      | Some ';' -> cur.pos <- cur.pos + 1 (* empty command *)
-      | Some 'P' ->
+      | Some _ ->
+          fail ~code:"cif-unterminated-definition" cur.pos
+            "end of input inside a symbol definition (missing DF)"
+      | None -> fail ~code:"cif-missing-end" cur.pos "missing E (end) command"
+    else
+      match Char.unsafe_chr c with
+      | ';' -> cur.pos <- cur.pos + 1 (* empty command *)
+      | 'P' ->
           let layer = require_layer cur.pos in
           cur.pos <- cur.pos + 1;
           let pts = read_points_until_semi cur in
           expect_semi cur;
           let st = !current_def in
           add_shape layer (Ast.Polygon (List.map (scale_point st) pts))
-      | Some 'B' ->
+      | 'B' ->
           let layer = require_layer cur.pos in
           cur.pos <- cur.pos + 1;
           let st = !current_def in
@@ -312,15 +318,15 @@ module Make (S : CHARS) = struct
           let width = scale st (read_int cur) in
           let center = scale_point st (read_point cur) in
           let direction =
-            match try_read_int cur with
-            | None -> None
-            | Some a ->
-                let b = read_int cur in
-                Some (Point.make a b)
+            if at_int cur then
+              let a = read_int cur in
+              let b = read_int cur in
+              Some (Point.make a b)
+            else None
           in
           expect_semi cur;
           add_shape layer (Ast.Box { length; width; center; direction })
-      | Some 'W' ->
+      | 'W' ->
           let layer = require_layer cur.pos in
           cur.pos <- cur.pos + 1;
           let st = !current_def in
@@ -328,7 +334,7 @@ module Make (S : CHARS) = struct
           let path = List.map (scale_point st) (read_points_until_semi cur) in
           expect_semi cur;
           add_shape layer (Ast.Wire { width; path })
-      | Some 'R' ->
+      | 'R' ->
           let layer = require_layer cur.pos in
           cur.pos <- cur.pos + 1;
           let st = !current_def in
@@ -336,58 +342,61 @@ module Make (S : CHARS) = struct
           let center = scale_point st (read_point cur) in
           expect_semi cur;
           add_shape layer (Ast.Round_flash { diameter; center })
-      | Some 'L' ->
+      | 'L' ->
           cur.pos <- cur.pos + 1;
           let name = read_layer_name cur in
           expect_semi cur;
           current_layer := Some name
-      | Some 'D' ->
+      | 'D' -> (
           cur.pos <- cur.pos + 1;
           skip_blanks cur;
-          (match peek cur with
-          | Some 'S' ->
-              if !current_def <> None then
-                fail ~code:"cif-nested-definition" cur.pos
-                  "nested DS (symbol definitions cannot nest)";
-              cur.pos <- cur.pos + 1;
-              let id = read_int cur in
-              let scale_num, scale_den =
-                match try_read_int cur with
-                | None -> (1, 1)
-                | Some a ->
-                    let b = read_int cur in
-                    if a <= 0 || b <= 0 then
-                      fail ~code:"cif-bad-scale" cur.pos
-                        "DS scale factors must be positive";
-                    (a, b)
-              in
-              expect_semi cur;
-              current_def :=
-                Some
-                  {
-                    def_id = id;
-                    scale_num;
-                    scale_den;
-                    def_name = None;
-                    def_elements = [];
-                  }
-          | Some 'F' ->
-              cur.pos <- cur.pos + 1;
-              (match !current_def with
-              | None ->
-                  fail ~code:"cif-df-without-ds" cur.pos "DF without matching DS"
-              | Some d ->
-                  expect_semi cur;
-                  commit_def d)
-          | Some 'D' ->
-              cur.pos <- cur.pos + 1;
-              let n = read_int cur in
-              expect_semi cur;
-              (* Delete definitions >= n.  Rare; honored literally. *)
-              symbols := List.filter (fun (s : Ast.symbol_def) -> s.id < n) !symbols
-          | _ ->
-              fail ~code:"cif-bad-d-command" cur.pos "expected S, F or D after D")
-      | Some 'C' ->
+          let c = peek cur in
+          if c = Char.code 'S' then begin
+            if !current_def <> None then
+              fail ~code:"cif-nested-definition" cur.pos
+                "nested DS (symbol definitions cannot nest)";
+            cur.pos <- cur.pos + 1;
+            let id = read_int cur in
+            let scale_num, scale_den =
+              if at_int cur then begin
+                let a = read_int cur in
+                let b = read_int cur in
+                if a <= 0 || b <= 0 then
+                  fail ~code:"cif-bad-scale" cur.pos
+                    "DS scale factors must be positive";
+                (a, b)
+              end
+              else (1, 1)
+            in
+            expect_semi cur;
+            current_def :=
+              Some
+                {
+                  def_id = id;
+                  scale_num;
+                  scale_den;
+                  def_name = None;
+                  def_elements = [];
+                }
+          end
+          else if c = Char.code 'F' then begin
+            cur.pos <- cur.pos + 1;
+            match !current_def with
+            | None ->
+                fail ~code:"cif-df-without-ds" cur.pos "DF without matching DS"
+            | Some d ->
+                expect_semi cur;
+                commit_def d
+          end
+          else if c = Char.code 'D' then begin
+            cur.pos <- cur.pos + 1;
+            let n = read_int cur in
+            expect_semi cur;
+            (* Delete definitions >= n.  Rare; honored literally. *)
+            symbols := List.filter (fun (s : Ast.symbol_def) -> s.id < n) !symbols
+          end
+          else fail ~code:"cif-bad-d-command" cur.pos "expected S, F or D after D")
+      | 'C' ->
           cur.pos <- cur.pos + 1;
           let symbol = read_int cur in
           let raw_ops = read_transform_ops cur in
@@ -396,96 +405,68 @@ module Make (S : CHARS) = struct
           let ops =
             List.map
               (function
-                | Ast.Translate (dx, dy) ->
-                    Ast.Translate (scale st dx, scale st dy)
+                | Ast.Translate (dx, dy) -> Ast.Translate (scale st dx, scale st dy)
                 | (Ast.Mirror_x | Ast.Mirror_y | Ast.Rotate _) as op -> op)
               raw_ops
           in
           add_element (Ast.Call { symbol; ops })
-      | Some 'E' ->
+      | 'E' ->
           cur.pos <- cur.pos + 1;
           if !current_def <> None then
             fail ~code:"cif-end-in-definition" (cur.pos - 1)
               "E inside a symbol definition";
           finished := true
-      | Some '9' -> (
+      | '9' ->
           cur.pos <- cur.pos + 1;
-          match peek cur with
-          | Some '4' ->
-              cur.pos <- cur.pos + 1;
-              let name = read_label_name cur in
-              let st = !current_def in
-              let position = scale_point st (read_point cur) in
-              let layer = try_read_word cur in
-              expect_semi cur;
-              add_element (Ast.Label { name; position; layer })
-          | _ ->
-              (* 9 name; — names the current symbol *)
-              let name = read_label_name cur in
-              expect_semi cur;
-              (match !current_def with
-              | Some d -> d.def_name <- Some name
-              | None -> add_element (Ast.Comment_ext ("9 " ^ name))))
-      | Some c when is_digit c ->
+          if peek cur = Char.code '4' then begin
+            cur.pos <- cur.pos + 1;
+            let name = read_label_name cur in
+            let st = !current_def in
+            let position = scale_point st (read_point cur) in
+            let layer = try_read_word cur in
+            expect_semi cur;
+            add_element (Ast.Label { name; position; layer })
+          end
+          else begin
+            (* 9 name; — names the current symbol *)
+            let name = read_label_name cur in
+            expect_semi cur;
+            match !current_def with
+            | Some d -> d.def_name <- Some name
+            | None -> add_element (Ast.Comment_ext ("9 " ^ name))
+          end
+      | '0' .. '8' ->
           let text = read_to_semi cur in
           add_element (Ast.Comment_ext text)
-      | Some c -> fail ~code:"cif-unknown-command" cur.pos "unknown command '%c'" c
-    in
-    (match collector with
-    | None -> while not !finished do step () done
-    | Some c ->
-        while not !finished do
-          try step ()
-          with Perror { position; code; message } ->
-            let stop = min (S.length src) (position + 1) in
-            Collector.add c
-              (Diag.error ~span:{ Diag.start = position; stop } ~code message);
-            (match code with
-            | "cif-end-in-definition" ->
-                (* the designer forgot DF: close the definition and end *)
-                (match !current_def with Some d -> commit_def d | None -> ());
-                finished := true
-            | "cif-missing-end" -> finished := true
-            | "cif-unterminated-definition" ->
-                (match !current_def with Some d -> commit_def d | None -> ());
-                finished := true
-            | _ -> resync cur);
-            if Collector.saturated c && not !finished then begin
-              Collector.add c
-                (Diag.hint ~code:"too-many-errors"
-                   "error cap reached: the rest of the input was not parsed");
+      | c -> fail ~code:"cif-unknown-command" cur.pos "unknown command '%c'" c
+  in
+  (match collector with
+  | None -> while not !finished do step () done
+  | Some c ->
+      while not !finished do
+        try step ()
+        with Perror { position; code; message } ->
+          let stop = min cur.len (position + 1) in
+          Collector.add c
+            (Diag.error ~span:{ Diag.start = position; stop } ~code message);
+          (match code with
+          | "cif-end-in-definition" ->
+              (* the designer forgot DF: close the definition and end *)
+              (match !current_def with Some d -> commit_def d | None -> ());
               finished := true
-            end
-        done);
-    { Ast.symbols = List.rev !symbols; top_level = List.rev !top }
-end
-
-module Of_string = Make (struct
-  type t = string
-
-  let length = String.length
-  let get = String.get
-  let sub = String.sub
-end)
-
-(* A read-only view of a memory-mapped file: the bytes stay in the page
-   cache, nothing is copied onto the OCaml heap. *)
-type bigstring =
-  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-module Of_bigstring = Make (struct
-  type t = bigstring
-
-  let length = Bigarray.Array1.dim
-  let get = Bigarray.Array1.get
-
-  let sub ba pos len =
-    let b = Bytes.create len in
-    for i = 0 to len - 1 do
-      Bytes.unsafe_set b i (Bigarray.Array1.unsafe_get ba (pos + i))
-    done;
-    Bytes.unsafe_to_string b
-end)
+          | "cif-missing-end" -> finished := true
+          | "cif-unterminated-definition" ->
+              (match !current_def with Some d -> commit_def d | None -> ());
+              finished := true
+          | _ -> resync cur);
+          if Collector.saturated c && not !finished then begin
+            Collector.add c
+              (Diag.hint ~code:"too-many-errors"
+                 "error cap reached: the rest of the input was not parsed");
+            finished := true
+          end
+      done);
+  { Ast.symbols = List.rev !symbols; top_level = List.rev !top }
 
 type input = In_memory of string | Mapped of bigstring
 
@@ -505,6 +486,17 @@ let input_to_string = function
         Bytes.unsafe_set b i (Bigarray.Array1.unsafe_get ba i)
       done;
       Bytes.unsafe_to_string b
+
+(* The lexer's view of an input: a mapping as is, a string copied once. *)
+let bigstring_of_input = function
+  | Mapped ba -> ba
+  | In_memory s ->
+      let n = String.length s in
+      let ba = Bigarray.Array1.create Bigarray.char Bigarray.c_layout n in
+      for i = 0 to n - 1 do
+        Bigarray.Array1.unsafe_set ba i (String.unsafe_get s i)
+      done;
+      ba
 
 let read_all_channel ic = In_memory (In_channel.input_all ic)
 
@@ -543,20 +535,13 @@ let open_file path =
 
 let parse_input input =
   Ace_trace.Trace.with_span "cif.parse" @@ fun () ->
-  try
-    match input with
-    | In_memory s -> Of_string.parse s
-    | Mapped ba -> Of_bigstring.parse ba
+  try parse (bigstring_of_input input)
   with Perror { position; message; _ } -> raise (Error { position; message })
 
 let parse_input_lenient ?max_errors input =
   Ace_trace.Trace.with_span "cif.parse" @@ fun () ->
   let collector = Collector.create ?max_errors () in
-  let file =
-    match input with
-    | In_memory s -> Of_string.parse ~collector s
-    | Mapped ba -> Of_bigstring.parse ~collector ba
-  in
+  let file = parse ~collector (bigstring_of_input input) in
   (file, Collector.to_list collector)
 
 let parse_string src = parse_input (In_memory src)

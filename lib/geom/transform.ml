@@ -32,6 +32,9 @@ let then_ t op = compose op t
 let apply t (p : Point.t) =
   Point.make ((t.xx * p.x) + (t.xy * p.y) + t.dx) ((t.yx * p.x) + (t.yy * p.y) + t.dy)
 
+let apply_x t x y = (t.xx * x) + (t.xy * y) + t.dx
+let apply_y t x y = (t.yx * x) + (t.yy * y) + t.dy
+
 let inverse t =
   (* The rotation part is orthogonal, so its inverse is its transpose. *)
   let xx = t.xx and xy = t.yx and yx = t.xy and yy = t.yy in

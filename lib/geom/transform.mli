@@ -32,6 +32,12 @@ val inverse : t -> t
 
 val apply : t -> Point.t -> Point.t
 
+(** [apply_x t x y] and [apply_y t x y] are the coordinates of
+    [apply t (Point.make x y)], computed without allocating. *)
+val apply_x : t -> int -> int -> int
+
+val apply_y : t -> int -> int -> int
+
 (** Transformed box (corners mapped, result re-normalized). *)
 val apply_box : t -> Box.t -> Box.t
 

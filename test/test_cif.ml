@@ -119,6 +119,114 @@ let test_describe_error () =
       check "mentions line 2" true (contains_substring d "line 2")
   | _ -> Alcotest.fail "expected error"
 
+(* Lexer edge cases: integer range, leading zeros, exotic blanks and an
+   unterminated nested comment at end of input. *)
+
+let lenient = Ace_cif.Parser.parse_string_lenient
+
+let strict_error src =
+  match parse src with
+  | exception Ace_cif.Parser.Error { position; message } -> Some (position, message)
+  | _ -> None
+
+let test_parse_max_int () =
+  match (parse "C 1 T 4611686018427387903 -4611686018427387903; E").top_level with
+  | [ Ace_cif.Ast.Call { ops = [ Ace_cif.Ast.Translate (dx, dy) ]; _ } ] ->
+      check_int "max_int" max_int dx;
+      check_int "-max_int" (-max_int) dy
+  | _ -> Alcotest.fail "unexpected AST"
+
+let test_parse_overflow () =
+  let expect src start literal =
+    let message = Printf.sprintf "integer literal '%s' out of range" literal in
+    check (src ^ " strict") true (strict_error src = Some (start, message));
+    match lenient src with
+    | _, [ d ] ->
+        check (src ^ " code") true (d.Ace_diag.Diag.code = "cif-integer-overflow");
+        check (src ^ " span") true
+          (d.span = Some { Ace_diag.Diag.start; stop = start + 1 });
+        check (src ^ " message") true (d.message = message)
+    | _, diags -> Alcotest.failf "%s: %d diagnostics" src (List.length diags)
+  in
+  expect "C 1 T 4611686018427387904 0; E" 6 "4611686018427387904";
+  (* the sign is consumed before the digits: the span starts at them *)
+  expect "C 1 T -4611686018427387904 0; E" 7 "-4611686018427387904";
+  expect "C 1 T 0 000099999999999999999999; E" 8 "000099999999999999999999"
+
+let test_parse_leading_zeros () =
+  match (parse "C 0001 T 007 -0000; E").top_level with
+  | [ Ace_cif.Ast.Call { symbol = 1; ops = [ Ace_cif.Ast.Translate (7, 0) ] } ] ->
+      ()
+  | _ -> Alcotest.fail "unexpected AST"
+
+let test_parse_exotic_blanks () =
+  let plain = parse "L ND; B 4 2 10 20; E" in
+  check "NUL and high bytes are blanks" true
+    (parse "L\000ND;\128B 4\2552\20010\x7f20;\000E\255" = plain)
+
+let test_unterminated_nested_comment () =
+  let src = "L ND; B 2 2 0 0; (outer (inner) still open" in
+  check "strict" true (strict_error src = Some (17, "unterminated comment"));
+  match lenient src with
+  | _, d :: _ ->
+      check "code" true (d.Ace_diag.Diag.code = "cif-unterminated-comment");
+      check "span" true (d.span = Some { Ace_diag.Diag.start = 17; stop = 18 })
+  | _, [] -> Alcotest.fail "not diagnosed"
+
+(* ------------------------------------------------------------------ *)
+(* Allocation budgets (noise-free partners of the front-end walls)      *)
+(* ------------------------------------------------------------------ *)
+
+(* cherry at scale 1.0, written to a real file so the parse goes through
+   the mapped path [ace] uses *)
+let cherry_input () =
+  let r =
+    List.find
+      (fun (r : Ace_workloads.Chips.recipe) -> r.chip_name = "cherry")
+      Ace_workloads.Chips.paper_suite
+  in
+  let text = Ace_cif.Writer.to_string (Ace_cif.Design.ast (r.build ~scale:1.0)) in
+  let path = Filename.temp_file "ace_cherry" ".cif" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      Ace_cif.Parser.open_file path)
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  let v = f () in
+  (v, Gc.minor_words () -. before)
+
+let test_parse_alloc () =
+  let input = cherry_input () in
+  let (_, diags), words =
+    minor_words (fun () -> Ace_cif.Parser.parse_input_lenient input)
+  in
+  check "clean" true (diags = []);
+  let per_byte = words /. float_of_int (Ace_cif.Parser.input_length input) in
+  if per_byte > 1.5 then
+    Alcotest.failf "lenient parse: %.2f minor words per byte (budget 1.5)" per_byte
+
+let test_stream_alloc () =
+  let ast, _ = Ace_cif.Parser.parse_input_lenient (cherry_input ()) in
+  let design = Ace_cif.Design.of_ast ast in
+  let s = Ace_cif.Stream.create design in
+  let boxes, words =
+    minor_words (fun () ->
+        let rec go n =
+          match Ace_cif.Stream.peek_top s with
+          | None -> n
+          | Some y -> go (n + List.length (Ace_cif.Stream.pop_at s y))
+        in
+        go 0)
+  in
+  check "boxes popped" true (boxes > 1_000);
+  let per_box = words /. float_of_int boxes in
+  if per_box > 36.0 then
+    Alcotest.failf "stream drain: %.1f minor words per box over %d boxes (budget 36)"
+      per_box boxes
+
 (* ------------------------------------------------------------------ *)
 (* Writer round-trip                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -431,6 +539,18 @@ let () =
           Alcotest.test_case "user extension" `Quick test_parse_user_extension;
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "error description" `Quick test_describe_error;
+          Alcotest.test_case "max_int literal" `Quick test_parse_max_int;
+          Alcotest.test_case "integer overflow" `Quick test_parse_overflow;
+          Alcotest.test_case "leading zeros" `Quick test_parse_leading_zeros;
+          Alcotest.test_case "NUL and high bytes are blanks" `Quick
+            test_parse_exotic_blanks;
+          Alcotest.test_case "unterminated nested comment" `Quick
+            test_unterminated_nested_comment;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "parse words per byte" `Quick test_parse_alloc;
+          Alcotest.test_case "stream words per box" `Quick test_stream_alloc;
         ] );
       ( "writer",
         [
