@@ -1,5 +1,9 @@
 (* ace — flat edge-based circuit extraction: CIF in, CMU wirelist out. *)
 
+(* The process ledger's wall starts here, as early as this program's own
+   code runs. *)
+let process_start = Unix.gettimeofday ()
+
 let run input output geometry spice name quantum stats jobs tile strict
     max_errors diag_format trace =
   Cli_common.setup_trace trace;
@@ -53,11 +57,16 @@ let run input output geometry spice name quantum stats jobs tile strict
               warnings = st.warnings;
             } )
       in
-      let elapsed = Unix.gettimeofday () -. t0 in
+      let t_extract = Unix.gettimeofday () in
+      let elapsed = t_extract -. t0 in
+      let buf = Buffer.create 65536 in
+      if spice then Buffer.add_string buf (Ace_netlist.Spice.to_string circuit)
+      else Ace_netlist.Wirelist.to_buffer ~emit_geometry:geometry buf circuit;
+      let t_format = Unix.gettimeofday () in
       let oc = match output with None -> stdout | Some p -> open_out p in
-      if spice then output_string oc (Ace_netlist.Spice.to_string circuit)
-      else Ace_netlist.Wirelist.to_channel ~emit_geometry:geometry oc circuit;
-      if output <> None then close_out oc;
+      Buffer.output_buffer oc buf;
+      if output <> None then close_out oc else flush oc;
+      let t_write = Unix.gettimeofday () in
       let diags = loaded.diags @ run_stats.Ace_core.Parallel.warnings in
       Cli_common.report ~format:diag_format ~tool:"ace" ~uri:input
         ~source:loaded.source diags;
@@ -91,6 +100,22 @@ let run input output geometry spice name quantum stats jobs tile strict
           Printf.eprintf "phases (CPU seconds summed over tiles):\n";
           List.iter phase Timing.all_phases
         end;
+        (* the whole process, CIF bytes in to wirelist bytes out *)
+        let times = loaded.Cli_common.times in
+        let steps =
+          [
+            ("parse", times.Cli_common.parse_s);
+            ("design", times.design_s);
+            ("extract", elapsed);
+            ("format", t_format -. t_extract);
+            ("write", t_write -. t_format);
+          ]
+        in
+        let wall = Unix.gettimeofday () -. process_start in
+        Printf.eprintf "ledger (process wall %.6f s):\n" wall;
+        List.iter (fun (slug, s) -> Printf.eprintf "  %-12s %.6f s\n" slug s) steps;
+        Printf.eprintf "  %-12s %.6f s\n" "unattributed"
+          (wall -. List.fold_left (fun acc (_, s) -> acc +. s) 0.0 steps);
         if run_stats.Ace_core.Parallel.shards <> [] then begin
           Printf.eprintf
             "parallel: %d workers, %d tiles, stitch %.3f s, balance %.2f\n"

@@ -42,53 +42,77 @@ let read_cif_input = function
       | input -> Ok input
       | exception Sys_error m -> Error (Diag.error ~code:"io-error" m))
 
+(* Seconds spent in each front-end step of a load (the `ace -s` process
+   ledger): opening and parsing the input, then building the design. *)
+type load_times = { parse_s : float; design_s : float }
+
 (* Parse and check a CIF input.  [None] means unrecoverable (strict mode
    hit an error); lenient mode always yields a design. *)
 let load_input ~strict ~max_errors ?quantum input =
-  if strict then
-    match Ace_cif.Parser.parse_input input with
-    | exception Ace_cif.Parser.Error { position; message } ->
-        let stop = min (Ace_cif.Parser.input_length input) (position + 1) in
-        ( None,
-          [
-            Diag.error
-              ~span:{ Diag.start = position; stop }
-              ~code:"cif-parse-error" message;
-          ] )
-    | ast -> (
+  let t0 = Unix.gettimeofday () in
+  let parsed =
+    if strict then
+      match Ace_cif.Parser.parse_input input with
+      | exception Ace_cif.Parser.Error { position; message } ->
+          let stop = min (Ace_cif.Parser.input_length input) (position + 1) in
+          Error
+            (Diag.error
+               ~span:{ Diag.start = position; stop }
+               ~code:"cif-parse-error" message)
+      | ast -> Ok (ast, [])
+    else Ok (Ace_cif.Parser.parse_input_lenient ~max_errors input)
+  in
+  let t1 = Unix.gettimeofday () in
+  let design, diags =
+    match parsed with
+    | Error d -> (None, [ d ])
+    | Ok (ast, _) when strict -> (
         match Ace_cif.Design.of_ast ?quantum ast with
         | exception Ace_cif.Design.Semantic_error m ->
             (None, [ Diag.error ~code:"sem-error" m ])
         | design -> (Some design, []))
-  else begin
-    let ast, pdiags = Ace_cif.Parser.parse_input_lenient ~max_errors input in
-    let design, sdiags =
-      Ace_cif.Design.of_ast_lenient ?quantum ~max_errors ast
-    in
-    (Some design, pdiags @ sdiags)
-  end
+    | Ok (ast, pdiags) ->
+        let design, sdiags =
+          Ace_cif.Design.of_ast_lenient ?quantum ~max_errors ast
+        in
+        (Some design, pdiags @ sdiags)
+  in
+  let times = { parse_s = t1 -. t0; design_s = Unix.gettimeofday () -. t1 } in
+  (design, diags, times)
 
 let load_text ~strict ~max_errors ?quantum text =
-  load_input ~strict ~max_errors ?quantum (Ace_cif.Parser.input_of_string text)
+  let design, diags, _ =
+    load_input ~strict ~max_errors ?quantum (Ace_cif.Parser.input_of_string text)
+  in
+  (design, diags)
 
 type loaded = {
   source : string;
   design : Ace_cif.Design.t option;  (** [None] = unrecoverable *)
   diags : Diag.t list;
+  times : load_times;
 }
 
 let load ~strict ~max_errors ?quantum path =
+  let t0 = Unix.gettimeofday () in
   match read_cif_input path with
-  | Error d -> { source = ""; design = None; diags = [ d ] }
+  | Error d ->
+      {
+        source = "";
+        design = None;
+        diags = [ d ];
+        times = { parse_s = Unix.gettimeofday () -. t0; design_s = 0.0 };
+      }
   | Ok input ->
-      let design, diags = load_input ~strict ~max_errors ?quantum input in
+      let opened = Unix.gettimeofday () -. t0 in
+      let design, diags, times = load_input ~strict ~max_errors ?quantum input in
       (* Diag rendering is the only consumer of [source] (caret context
          needs both a span and the source); on the common clean run we
          skip copying the mapping out of the page cache. *)
       let source =
         if diags = [] then "" else Ace_cif.Parser.input_to_string input
       in
-      { source; design; diags }
+      { source; design; diags; times = { times with parse_s = opened +. times.parse_s } }
 
 (* Render diagnostics under the run's one --diag-format flag: text/JSON go
    line-by-line to stderr; SARIF emits a single complete 2.1.0 log on

@@ -174,12 +174,6 @@ let to_string ?emit_geometry c =
   to_buffer ?emit_geometry buf c;
   Buffer.contents buf
 
-(* Write the buffer itself: no copy of the whole wirelist into a string. *)
-let to_channel ?emit_geometry oc c =
-  let buf = Buffer.create 65536 in
-  to_buffer ?emit_geometry buf c;
-  Buffer.output_buffer oc buf
-
 (* ------------------------------------------------------------------ *)
 (* Reader                                                              *)
 (* ------------------------------------------------------------------ *)

@@ -27,7 +27,10 @@ open Ace_tech
     suppressed by default, like the paper's normal operation. *)
 val to_string : ?emit_geometry:bool -> Circuit.t -> string
 
-val to_channel : ?emit_geometry:bool -> out_channel -> Circuit.t -> unit
+(** [to_buffer ?emit_geometry buf circuit] appends the rendering to [buf];
+    writing the buffer itself ([Buffer.output_buffer]) never copies the
+    whole wirelist into a string. *)
+val to_buffer : ?emit_geometry:bool -> Buffer.t -> Circuit.t -> unit
 
 exception Error of string
 

@@ -22,6 +22,8 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable stores : int;
+  mutable store_failures : int;
+      (* stores that hit a Sys_error/Unix_error and left no entry *)
   mutable quarantined : int;
   mutable evictions : int;
   mutable swept_at_open : int;
@@ -83,6 +85,7 @@ let open_dir ?max_mb ?max_bytes ~faults dir =
             hits = 0;
             misses = 0;
             stores = 0;
+            store_failures = 0;
             quarantined = 0;
             evictions = 0;
             swept_at_open = swept;
@@ -240,7 +243,8 @@ let store t key payload =
     end;
     t.stores <- t.stores + 1;
     ignore (evict_over_cap t)
-  with Sys_error _ | Unix.Unix_error _ -> ()
+  with Sys_error _ | Unix.Unix_error _ ->
+    t.store_failures <- t.store_failures + 1
 
 type gc_stats = {
   removed_tmp : int;
@@ -280,6 +284,7 @@ type stats = {
   hits : int;
   misses : int;
   stores : int;
+  store_failures : int;
   quarantined : int;
   evictions : int;
 }
@@ -293,6 +298,7 @@ let stats t =
     hits = t.hits;
     misses = t.misses;
     stores = t.stores;
+    store_failures = t.store_failures;
     quarantined = t.quarantined;
     evictions = t.evictions;
   }

@@ -52,7 +52,8 @@ val find : t -> string -> string option
 
 val store : t -> string -> string -> unit
 (** [store t key payload] — atomic write, then an eviction sweep if a
-    byte cap is set.  Failures are silent (the cache is advisory). *)
+    byte cap is set.  Failures never raise (the cache is advisory); each
+    is counted in {!stats}' [store_failures]. *)
 
 type gc_stats = {
   removed_tmp : int;
@@ -73,6 +74,7 @@ type stats = {
   hits : int;
   misses : int;
   stores : int;
+  store_failures : int;  (** stores that failed with an I/O error *)
   quarantined : int;
   evictions : int;
 }

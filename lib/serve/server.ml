@@ -481,6 +481,7 @@ let stats_reply t id =
             ("hits", Proto.int s.Cache.hits);
             ("misses", Proto.int s.Cache.misses);
             ("stores", Proto.int s.Cache.stores);
+            ("store_failures", Proto.int s.Cache.store_failures);
             ("quarantined", Proto.int s.Cache.quarantined);
             ("evictions", Proto.int s.Cache.evictions);
           ]

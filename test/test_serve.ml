@@ -352,8 +352,14 @@ let test_socket_extract () =
   let jc = jparse cold and jw = jparse warm in
   check "extract: cold reply ok, not cached"
     (jbool (jget jc "ok") && not (jbool (jget jc "cached")));
-  check "extract: warm reply ok, cached"
-    (jbool (jget jw "ok") && jbool (jget jw "cached"));
+  let warm_ok = jbool (jget jw "ok") && jbool (jget jw "cached") in
+  check "extract: warm reply ok, cached" warm_ok;
+  if not warm_ok then
+    (* a miss here means the cold reply's store did not land: show both
+       replies and the daemon's cache counters (store_failures) *)
+    Printf.printf "  cold reply: %s\n  warm reply: %s\n  daemon stats: %s\n%!"
+      cold warm
+      (rpc conn {|{"id":6,"op":"stats"}|});
   check_s "extract: warm result byte-identical to cold"
     (result_fragment warm) (result_fragment cold);
   check_s "extract: daemon wirelist = -j1 one-shot wirelist"
@@ -901,7 +907,19 @@ let test_cache_unit () =
   Cache.store c2 "0000000000000004" payload;
   check "cache: touch-on-hit protects hot entries"
     (Cache.find c2 "0000000000000002" = Some payload
-    && Cache.find c2 "0000000000000003" = None)
+    && Cache.find c2 "0000000000000003" = None);
+  (* a store that cannot write is not raised but counted *)
+  let dir3 = scratch () in
+  let c3 =
+    match Cache.open_dir ~faults:(Serve.Faults.none ()) dir3 with
+    | Ok c -> c
+    | Error m -> failwith m
+  in
+  rm_rf dir3;
+  Cache.store c3 "0000000000000005" payload;
+  let s3 = Cache.stats c3 in
+  check "cache: failed store counted, not stored"
+    (s3.Cache.store_failures = 1 && s3.Cache.stores = 0)
 
 (* ------------------------------------------------------------------ *)
 (* 12. Fault-spec parsing                                             *)
