@@ -14,9 +14,11 @@
 exception Error of { position : int; message : string }
 
 (** A parser input: either an in-memory string or a read-only memory
-    mapping of a regular file.  The lexer walks a mapping in place —
-    zero-copy — so parsing a large chip never materializes the file as an
-    OCaml string. *)
+    mapping of a regular file.  There is one lexer, over a bigstring: it
+    walks a mapping in place — zero-copy — so parsing a large chip never
+    materializes the file as an OCaml string, and it copies a string into
+    a bigstring once before lexing it.  Per byte it allocates nothing;
+    integer literals accumulate in place. *)
 type input
 
 (** Wrap an in-memory string. *)
