@@ -200,7 +200,7 @@ let extract_raw ~grid boxes labels =
   done;
   (* labels *)
   let net_names = ref [] in
-  let warnings = ref [] in
+  let unbound = ref [] in
   List.iter
     (fun (lab : Ace_cif.Design.label) ->
       let x = floor_div lab.position.Point.x grid - x0
@@ -219,10 +219,7 @@ let extract_raw ~grid boxes labels =
       in
       match List.find_opt (fun i -> i <> none) candidates with
       | Some net -> net_names := (net, lab.name) :: !net_names
-      | None ->
-          warnings :=
-            Printf.sprintf "label %S touches no conducting geometry" lab.name
-            :: !warnings)
+      | None -> unbound := lab :: !unbound)
     labels;
   (* package as an Engine.raw so the standard resolution applies *)
   let devices =
@@ -275,7 +272,11 @@ let extract_raw ~grid boxes labels =
       devices;
       boundary_nets = [];
       boundary_channels = [];
-      warnings = List.rev !warnings;
+      unbound = List.rev !unbound;
+      y_extent =
+        Option.map
+          (fun (bb : Box.t) -> (bb.b, bb.t))
+          (Box.hull_list (List.map snd boxes));
       stops = gh;
       max_active = 0;
       timing = Ace_core.Timing.create ();

@@ -52,7 +52,7 @@ let extract_raw boxes labels =
   let dev_uf = Union_find.create () in
   let net_locations = Hashtbl.create 256 in
   let net_names = ref [] in
-  let warnings = ref [] in
+  let unbound = ref [] in
   let dev_area = Hashtbl.create 64 in
   let dev_implant = Hashtbl.create 64 in
   let dev_bbox = Hashtbl.create 64 in
@@ -192,11 +192,7 @@ let extract_raw boxes labels =
           in
           (match List.find_map find_in tracks with
           | Some net -> net_names := (net, lab.name) :: !net_names
-          | None ->
-              warnings :=
-                Printf.sprintf "label %S touches no conducting geometry"
-                  lab.name
-                :: !warnings);
+          | None -> unbound := lab :: !unbound);
           bind ()
       | (_ : Ace_cif.Design.label) :: rest
         when (match !pending_labels with
@@ -305,7 +301,11 @@ let extract_raw boxes labels =
       devices;
       boundary_nets = [];
       boundary_channels = [];
-      warnings = List.rev !warnings;
+      unbound = List.rev !unbound;
+      y_extent =
+        Option.map
+          (fun (bb : Box.t) -> (bb.b, bb.t))
+          (Box.hull_list (List.map snd boxes));
       stops = List.length stops;
       max_active = 0;
       timing = Ace_core.Timing.create ();

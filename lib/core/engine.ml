@@ -159,7 +159,8 @@ type raw = {
   devices : (int * device_data) list;
   boundary_nets : boundary_span list;
   boundary_channels : boundary_channel list;
-  warnings : string list;
+  unbound : Ace_cif.Design.label list;
+  y_extent : (int * int) option;
   stops : int;
   max_active : int;
   timing : Timing.t;
@@ -370,8 +371,8 @@ let run ?(cancel = Cancel.never) config source ~labels =
   let net_x = Vec.create () and net_y = Vec.create () in
   let net_phase = Vec.create () in
   let net_geometry = Hashtbl.create 256 in
-  let warnings = ref [] in
-  let warn fmt = Format.kasprintf (fun m -> warnings := m :: !warnings) fmt in
+  (* labels bound to no net, newest first *)
+  let unbound = ref [] in
   (* per device element: area, implant area, bbox, boundary flag *)
   let dev_area = Vec.create () and dev_implant = Vec.create () in
   let dev_l = Vec.create () and dev_b = Vec.create () in
@@ -432,6 +433,7 @@ let run ?(cancel = Cancel.never) config source ~labels =
   let connect_buf = ref (Array.make 16 0) in
   let pending_labels = ref labels in
   let stops = ref 0 and max_active = ref 0 in
+  let scan_top = ref min_int and scan_bottom = ref max_int in
   let clip bx =
     match config.window with
     | None -> Some bx
@@ -514,6 +516,8 @@ let run ?(cancel = Cancel.never) config source ~labels =
   in
 
   let process_strip ~bottom ~top =
+    scan_top := Int.max !scan_top top;
+    scan_bottom := Int.min !scan_bottom bottom;
     let height = top - bottom in
     (* walking the active lists into merged strip intervals is the paper's
        "updating the data structures" work; device/net computation below is
@@ -678,15 +682,12 @@ let run ?(cancel = Cancel.never) config source ~labels =
               in
               (match List.find_map (fun t -> find_net_at t x) tracks with
               | Some net -> net_names := (net, lab.name) :: !net_names
-              | None ->
-                  warn "label %S at (%d,%d) touches no conducting geometry" lab.name
-                    lab.position.Point.x lab.position.Point.y);
+              | None -> unbound := lab :: !unbound);
               bind_labels ()
           | (lab : Ace_cif.Design.label) :: rest when lab.position.Point.y >= top ->
-              (* above every strip we will ever process: report once *)
+              (* above every strip we will ever process *)
               pending_labels := rest;
-              warn "label %S at (%d,%d) lies above all geometry" lab.name
-                lab.position.Point.x lab.position.Point.y;
+              unbound := lab :: !unbound;
               bind_labels ()
           | _ -> ()
         in
@@ -807,11 +808,6 @@ let run ?(cancel = Cancel.never) config source ~labels =
   (match Timing.charge timing Timing.Front_end source.peek with
   | None -> ()
   | Some y0 -> loop y0);
-  List.iter
-    (fun (lab : Ace_cif.Design.label) ->
-      warn "label %S at (%d,%d) lies below all geometry" lab.name
-        lab.position.Point.x lab.position.Point.y)
-    !pending_labels;
   (* Fold per-element device data by device-class root.  Each element's
      root is found once; the element vectors then fold in place (a root's
      slots accumulate its whole class), gate pairs and edge contacts are
@@ -921,7 +917,10 @@ let run ?(cancel = Cancel.never) config source ~labels =
     boundary_channels =
       (* resolve element ids to the device roots used by [devices] *)
       List.map (fun bc -> { bc with cdev = dev_root.(bc.cdev) }) !boundary_channels;
-    warnings = List.rev !warnings;
+    (* what is still pending lies below every strip *)
+    unbound = List.rev_append !unbound !pending_labels;
+    y_extent =
+      (if !scan_top = min_int then None else Some (!scan_bottom, !scan_top));
     stops = !stops;
     max_active = !max_active;
     timing;

@@ -125,7 +125,13 @@ type raw = {
       (** (device element root, data), in ascending root order *)
   boundary_nets : boundary_span list;
   boundary_channels : boundary_channel list;
-  warnings : string list;
+  unbound : Ace_cif.Design.label list;
+      (** labels that bound to no net, in the order [run] was given them *)
+  y_extent : (int * int) option;
+      (** [(bottom, top)] of the strips scanned, [None] when there were
+          none.  A window run's extent is its own: label anomalies are
+          classified against the whole chip's, by
+          {!Extractor.label_warnings} *)
   stops : int;  (** scanline stops made *)
   max_active : int;  (** peak boxes intersecting the scanline *)
   timing : Timing.t;

@@ -136,6 +136,25 @@ let circuit_of_raw ~name ~include_partial (raw : Engine.raw) =
   in
   { Circuit.name; devices; nets = nets_arr }
 
+(* The one renderer of label anomalies.  Every scan — flat, a tile, a
+   baseline — reports the same facts (which labels bound nowhere, which
+   y range it covered), so flat and tiled runs word and order their
+   warnings alike whenever they agree on those facts. *)
+let label_warnings ~y_extent labels =
+  List.map
+    (fun (lab : Ace_cif.Design.label) ->
+      let y = lab.position.Point.y in
+      let where =
+        match y_extent with
+        | Some (_, top) when y >= top -> "lies above all geometry"
+        | Some (bottom, _) when y >= bottom -> "touches no conducting geometry"
+        | _ -> "lies below all geometry"
+      in
+      Ace_diag.Diag.warning ~code:"extract-anomaly"
+        (Printf.sprintf "label %S at (%d,%d) %s" lab.name lab.position.Point.x y
+           where))
+    labels
+
 let extract_with_stats ?(cancel = Cancel.never) ?(emit_geometry = false)
     ?(name = "chip") design =
   let stream = Ace_cif.Stream.create design in
@@ -151,10 +170,7 @@ let extract_with_stats ?(cancel = Cancel.never) ?(emit_geometry = false)
       stops = raw.stops;
       max_active = raw.max_active;
       timing = raw.timing;
-      warnings =
-        List.map
-          (Ace_diag.Diag.warning ~code:"extract-anomaly")
-          raw.warnings;
+      warnings = label_warnings ~y_extent:raw.y_extent raw.unbound;
     } )
 
 let extract ?cancel ?emit_geometry ?name design =

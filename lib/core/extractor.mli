@@ -60,6 +60,18 @@ val device_order : Circuit.device -> Circuit.device -> int
 val circuit_of_raw :
   name:string -> include_partial:bool -> Engine.raw -> Circuit.t
 
+(** Render labels that bound to no net as ["extract-anomaly"] warnings,
+    in list order.  Each is classified against [y_extent], the
+    [(bottom, top)] the chip's scan covered ({!Engine.raw.y_extent}; a
+    tiled run passes the union over its tiles): at or above [top] it
+    "lies above all geometry", below [bottom] (or with nothing scanned)
+    it "lies below all geometry", and in between it "touches no
+    conducting geometry". *)
+val label_warnings :
+  y_extent:(int * int) option ->
+  Ace_cif.Design.label list ->
+  Ace_diag.Diag.t list
+
 (** Parse, check and extract a CIF string in one step. *)
 val extract_cif_string : ?emit_geometry:bool -> ?name:string -> string -> Circuit.t
 

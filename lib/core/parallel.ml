@@ -63,12 +63,6 @@ let tile_windows ~cols ~rows (bb : Box.t) =
           y := !y + ht;
           Box.make ~l ~b ~r:(l + wd) ~t:(b + ht)))
 
-(* The classic full-height vertical strips: one row of tiles.  Vertical
-   strips keep every box top unchanged under clipping, so each shard's
-   stream is exactly the flat stream restricted in x. *)
-let windows ~jobs (bb : Box.t) =
-  Array.map (fun col -> col.(0)) (tile_windows ~cols:jobs ~rows:1 bb)
-
 (* "CxR" — e.g. "4x2" is four columns by two rows. *)
 let tile_of_string s =
   let bad () =
@@ -107,6 +101,40 @@ let shard_labels grid labels =
       buckets.(t) <- lb :: buckets.(t))
     labels;
   Array.map List.rev buckets
+
+(* The flat extractor's label warnings, rebuilt from per-tile scans.  A
+   label binds nowhere in its tile exactly when it binds nowhere in the
+   flat scan, and the tiles' scanned extents together cover exactly the
+   chip's, so the tiles' unbound labels, classified against that union
+   and put back in [labels] order, are the flat run's warnings.  Equal
+   labels render equally, so a per-label count restores the order.
+   [scans] holds each tile's (unbound labels, scanned y extent). *)
+let label_warnings labels scans =
+  let pending = Hashtbl.create 16 in
+  let bump lab d =
+    Hashtbl.replace pending lab
+      (d + Option.value (Hashtbl.find_opt pending lab) ~default:0)
+  in
+  List.iter (fun (unbound, _) -> List.iter (fun lab -> bump lab 1) unbound) scans;
+  let y_extent =
+    List.fold_left
+      (fun acc (_, extent) ->
+        match (acc, extent) with
+        | None, e | e, None -> e
+        | Some (b0, t0), Some (b1, t1) -> Some (Int.min b0 b1, Int.max t0 t1))
+      None scans
+  in
+  let unbound =
+    List.filter
+      (fun lab ->
+        match Hashtbl.find_opt pending lab with
+        | Some n when n > 0 ->
+            bump lab (-1);
+            true
+        | _ -> false)
+      labels
+  in
+  Extractor.label_warnings ~y_extent unbound
 
 (* ------------------------------------------------------------------ *)
 (* Net creation keys                                                   *)
@@ -192,7 +220,7 @@ let run_shard ~cancel ~on_shard design window labels idx =
       s_counters = Trace.counters_snapshot ();
     }
   in
-  (frag, shard, raw.Engine.warnings, keys)
+  (frag, shard, (raw.Engine.unbound, raw.Engine.y_extent), keys)
 
 let stats_of_flat (st : Extractor.stats) =
   {
@@ -563,16 +591,8 @@ let extract_with_stats ?(sequential = false) ?(cancel = Cancel.never)
           Array.to_list (Array.map (fun (_, s, _, _) -> s) results)
         in
         let warnings =
-          List.concat
-            (Array.to_list
-               (Array.mapi
-                  (fun i (_, _, ws, _) ->
-                    List.map
-                      (fun m ->
-                        Ace_diag.Diag.warning ~code:"extract-anomaly"
-                          (Printf.sprintf "shard %d/%d: %s" (i + 1) tcount m))
-                      ws)
-                  results))
+          label_warnings (Ace_cif.Design.labels design)
+            (Array.to_list (Array.map (fun (_, _, scan, _) -> scan) results))
         in
         let timing = Timing.sum (List.map (fun s -> s.s_timing) shards) in
         Timing.merge_into ~src:stitch_timing ~dst:timing;

@@ -33,8 +33,8 @@ end)
    extraction after a local edit re-extracts only the windows whose
    contents actually changed — the papers' "incremental extractor". *)
 type cache = {
-  window_table : Fragment.t Canon_table.t;
-  compose_table : (int * int * int * int, Fragment.t) Hashtbl.t;
+  window_table : Ace_core.Fragment.t Canon_table.t;
+  compose_table : (int * int * int * int, Ace_core.Fragment.t) Hashtbl.t;
   part_registry : (string, Hier.part) Hashtbl.t;
   mutable next_id : int;
 }
@@ -66,9 +66,9 @@ let fresh_id st =
   st.cache.next_id <- id + 1;
   id
 
-let register_part st (frag : Fragment.t) =
-  Hashtbl.replace st.cache.part_registry frag.Fragment.part.Hier.part_name
-    frag.Fragment.part
+let register_part st (frag : Ace_core.Fragment.t) =
+  let part = frag.Ace_core.Fragment.part in
+  Hashtbl.replace st.cache.part_registry part.Hier.part_name part
 
 let make_leaf st (w : Content.window) =
   st.leaf_extractions <- st.leaf_extractions + 1;
@@ -87,20 +87,21 @@ let make_leaf st (w : Content.window) =
       w.Content.items
   in
   let frag =
-    Fragment.leaf ~next_id:(fresh_id st) ~window:w.Content.area ~boxes ~labels
+    Ace_core.Fragment.leaf ~next_id:(fresh_id st) ~window:w.Content.area ~boxes
+      ~labels
   in
   register_part st frag;
   frag
 
 let make_compose st a b ~offset =
   st.compose_calls <- st.compose_calls + 1;
-  let frag = Fragment.compose ~next_id:(fresh_id st) a b ~offset in
+  let frag = Ace_core.Fragment.compose ~next_id:(fresh_id st) a b ~offset in
   register_part st frag;
   frag
 
 (* Analyze one window to a fragment.  Fragments are origin-normalized; the
    caller places them at the window's min corner. *)
-let rec analyze st (w : Content.window) : Fragment.t =
+let rec analyze st (w : Content.window) : Ace_core.Fragment.t =
   let canon =
     let t0 = mono_s () in
     let c = Content.canonicalize w in
@@ -163,10 +164,12 @@ and subdivide st w cut =
   let fb = analyze st high in
   let offset =
     match cut with
-    | Content.Vertical _ -> Point.make fa.Fragment.width 0
-    | Content.Horizontal _ -> Point.make 0 fa.Fragment.height
+    | Content.Vertical _ -> Point.make fa.Ace_core.Fragment.width 0
+    | Content.Horizontal _ -> Point.make 0 fa.Ace_core.Fragment.height
   in
-  let key = (fa.Fragment.id, fb.Fragment.id, offset.Point.x, offset.Point.y) in
+  let key =
+    (fa.Ace_core.Fragment.id, fb.Ace_core.Fragment.id, offset.Point.x, offset.Point.y)
+  in
   match
     if st.memoize then Hashtbl.find_opt st.cache.compose_table key else None
   with
@@ -237,10 +240,10 @@ let extract ?(leaf_limit = 512) ?(memoize = true) ?cache design =
     | Some w ->
         let root = analyze st w in
         let top =
-          { (Fragment.finalize ~next_id:(fresh_id st) root) with
+          { (Ace_core.Fragment.finalize ~next_id:(fresh_id st) root) with
             Hier.part_name = "Top" }
         in
-        reachable_parts cache.part_registry root.Fragment.part @ [ top ]
+        reachable_parts cache.part_registry root.Ace_core.Fragment.part @ [ top ]
   in
   let hier = { Hier.parts; top = "Top" } in
   ( hier,

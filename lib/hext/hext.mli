@@ -6,9 +6,9 @@ open Ace_netlist
     ({!Content}), recognizing redundant windows through a canonical-form
     table; the back-end extracts each {e unique} leaf window with the
     scanline engine in interface mode and composes adjacent windows,
-    memoizing compose results ({!Fragment}).  The output is a hierarchical
-    wirelist ({!Ace_netlist.Hier.t}) whose flattening equals the flat
-    extractor's circuit (tested). *)
+    memoizing compose results ({!Ace_core.Fragment}).  The output is a
+    hierarchical wirelist ({!Ace_netlist.Hier.t}) whose flattening equals
+    the flat extractor's circuit (tested). *)
 
 type stats = {
   leaf_extractions : int;  (** calls to the (modified) flat extractor *)

@@ -60,7 +60,7 @@ let push_pull circuit ~vdd ~gnd =
   (nodes, pullups)
 
 (* ------------------------------------------------------------------ *)
-(* Ported checks (the original Static_check battery)                   *)
+(* Ported checks (the original static-check battery)                   *)
 (* ------------------------------------------------------------------ *)
 
 let no_rail =

@@ -2,8 +2,8 @@ open Ace_netlist
 
 (** The built-in electrical rule registry.
 
-    The original {!Ace_analysis.Static_check} battery (ACE §1's ratio
-    / malformed-transistor / stuck-signal checker) ported to the registry,
+    The original static-check battery (ACE §1's ratio /
+    malformed-transistor / stuck-signal checker) ported to the registry,
     plus the pass-network, fan-out, sneak-path, superbuffer, labelling and
     λ-grid analyses.  Every rule has a stable kebab-case code; severities
     and enablement are decided by {!Config}, not here. *)

@@ -2,7 +2,8 @@
 
     Entries are content-addressed: the key is an FNV-1a 64 hash of the
     canonical CIF text of the checked design plus everything else that
-    shapes the result (quantum, part name, shard count, format version),
+    shapes the result (quantum, part name, format version, and an op's
+    own inputs), but not the [jobs] or tile grid, which shape nothing,
     so a warm hit is byte-identical to the cold computation by
     construction and stale entries are unreachable rather than
     invalidated.

@@ -124,62 +124,59 @@ let circuit_of_payload payload =
           try Some (Wirelist.of_string wl) with _ -> None)
       | _ -> None)
 
-(* The tile grid is part of the key: the wirelist is grid-invariant,
-   but the cached payload also carries the warnings, whose shard framing
-   ("shard i/n: ...") depends on the grid. *)
-let tile_tag = function
-  | None -> "-"
-  | Some (c, r) -> Printf.sprintf "%dx%d" c r
-
-let cache_key design ~name ~jobs ~tile =
-  let canonical = Ace_cif.Writer.to_string (Ace_cif.Design.ast design) in
+(* The cache key: everything that changes a result, and nothing else.
+   An extraction's result — wirelist and warnings — is the same for any
+   [jobs] and tile grid, so neither is in the key and flat and tiled
+   requests share one entry.  [extra] carries an op's own inputs. *)
+let cache_key design ~name extra =
   Cache.fnv1a64_hex
     (String.concat "\x00"
-       [
-         string_of_int Cache.format_version;
-         string_of_int (Ace_cif.Design.quantum design);
-         name;
-         string_of_int jobs;
-         tile_tag tile;
-         canonical;
-       ])
+       (string_of_int Cache.format_version
+       :: string_of_int (Ace_cif.Design.quantum design)
+       :: name
+       :: Ace_cif.Writer.to_string (Ace_cif.Design.ast design)
+       :: extra))
 
-(* (payload, cached?).  Cache misses — including quarantined corrupt
-   entries — fall through to a recomputation that heals the cache. *)
-let obtain_payload t ~cancel ~use_cache ~jobs ~tile ~name design =
-  let cache = if use_cache then t.config.cache else None in
-  let key = Option.map (fun _ -> cache_key design ~name ~jobs ~tile) cache in
-  let hit =
-    match (cache, key) with
-    | Some c, Some k -> Cache.find c k
+(* The one cached-compute path: look [key] up; on a miss — a quarantined
+   corrupt entry, or a payload [decode] rejects, included — run
+   [compute] and store the payload it returns, healing the cache.  The
+   payload is lazy so an uncached request never renders it.  Returns the
+   value and whether it came from the cache. *)
+let through_cache t ~use_cache ~key ~decode compute =
+  let entry =
+    match t.config.cache with
+    | Some c when use_cache -> Some (c, key ())
     | _ -> None
   in
-  match hit with
-  | Some payload -> (payload, true)
+  match
+    Option.bind entry (fun (c, k) -> Option.bind (Cache.find c k) decode)
+  with
+  | Some v -> (v, true)
   | None ->
+      let v, payload = compute () in
+      Option.iter (fun (c, k) -> Cache.store c k (Lazy.force payload)) entry;
+      (v, false)
+
+(* (payload, cached?) *)
+let obtain_payload t ~cancel ~use_cache ~jobs ~tile ~name design =
+  through_cache t ~use_cache
+    ~key:(fun () -> cache_key design ~name [])
+    ~decode:Option.some
+    (fun () ->
       let circuit, stats = run_extract t ~cancel ~jobs ~tile ~name design in
       let payload = payload_of_circuit circuit stats.Parallel.warnings in
-      (match (cache, key) with
-      | Some c, Some k -> Cache.store c k payload
-      | _ -> ());
-      (payload, false)
+      (payload, Lazy.from_val payload))
 
-(* Like [obtain_payload] but materializes the circuit (lint/flow).  A
-   warm payload round-trips through the wirelist reader; the reader
-   failing on our own checksummed output degrades to a recompute. *)
+(* (circuit, cached?), for lint, flow and lvs.  A warm payload
+   round-trips through the wirelist reader; the reader failing on our own
+   checksummed output degrades to a recompute. *)
 let obtain_circuit t ~cancel ~use_cache ~jobs ~tile ~name design =
-  let cache = if use_cache then t.config.cache else None in
-  let key = Option.map (fun _ -> cache_key design ~name ~jobs ~tile) cache in
-  let hit =
-    match (cache, key) with
-    | Some c, Some k -> Option.bind (Cache.find c k) circuit_of_payload
-    | _ -> None
-  in
-  match hit with
-  | Some circuit -> (circuit, true)
-  | None ->
-      let circuit, _ = run_extract t ~cancel ~jobs ~tile ~name design in
-      (circuit, false)
+  through_cache t ~use_cache
+    ~key:(fun () -> cache_key design ~name [])
+    ~decode:circuit_of_payload
+    (fun () ->
+      let circuit, stats = run_extract t ~cancel ~jobs ~tile ~name design in
+      (circuit, lazy (payload_of_circuit circuit stats.Parallel.warnings)))
 
 let front_end cif =
   let ast, pdiags = Ace_cif.Parser.parse_string_lenient cif in
@@ -289,113 +286,91 @@ let do_flow t (r : Proto.request) cif =
           ("diags", diags_json diags);
         ]
 
-(* LVS replies are cached whole, like extract payloads, under a key that
-   also covers the reference text and the rail names — anything that can
-   change the verdict.  The finding diagnostics are rendered with
-   Diag.to_json, the exact lines `acelvs --diag-format=json` prints, so
-   clients can diff daemon replies against one-shot runs byte for byte. *)
-let lvs_cache_key design ~name ~jobs ~tile ~reference ~vdd ~gnd ~hier
-    ~ref_format ~max_findings =
-  let canonical = Ace_cif.Writer.to_string (Ace_cif.Design.ast design) in
-  Cache.fnv1a64_hex
-    (String.concat "\x00"
-       [
-         "lvs";
-         string_of_int Cache.format_version;
-         string_of_int (Ace_cif.Design.quantum design);
-         name;
-         string_of_int jobs;
-         tile_tag tile;
-         vdd;
-         gnd;
-         string_of_bool hier;
-         ref_format;
-         string_of_int max_findings;
-         reference;
-         canonical;
-       ])
+(* LVS replies are cached whole, like extract payloads, under the
+   extraction key extended by the reference text, the rail names and the
+   options — anything that can change the verdict.  The finding
+   diagnostics are rendered with Diag.to_json, the exact lines `acelvs
+   --diag-format=json` prints, so clients can diff daemon replies against
+   one-shot runs byte for byte. *)
+exception Bad_reference of string
 
 let lvs_payload t ~cancel ~use_cache ~jobs ~tile ~name ~vdd ~gnd ~hier
     ~ref_format ~max_findings design reference_text =
-  let loaded =
+  let reference, ref_diags =
     match ref_format with
     | "verilog" ->
-        Ok
-          (Ace_lvs.Verilog.parse ~name:"reference" ~vdd ~gnd reference_text)
+        Ace_lvs.Verilog.parse ~name:"reference" ~vdd ~gnd reference_text
     | _ -> (
         match
           Ace_lvs.Reference.load ~name:"reference" ~gnd reference_text
         with
-        | Ok x -> Ok x
+        | Ok x -> x
         | Error d ->
-            Error
-              (Printf.sprintf "unreadable reference netlist: %s"
-                 d.Diag.message))
+            raise
+              (Bad_reference
+                 (Printf.sprintf "unreadable reference netlist: %s"
+                    d.Diag.message)))
   in
-  match loaded with
-  | Error _ as e -> e
-  | Ok (reference, ref_diags) ->
-      let r, hstats =
-        if hier then begin
-          let ref_view =
-            if ref_format = "verilog" then None
-            else Ace_lvs.Reference.hier_view ~name:"reference" ~gnd
-                   reference_text
-          in
-          let layout, _ = Ace_hext.Hext.extract design in
-          let hr =
-            Ace_lvs.Hier.run ~cancel ~vdd ~gnd ~max_findings ~layout
-              ~reference ?ref_view ()
-          in
-          (hr.Ace_lvs.Hier.r, Some hr)
-        end
-        else begin
-          let circuit, _ =
-            obtain_circuit t ~cancel ~use_cache ~jobs ~tile ~name design
-          in
-          ( Ace_lvs.Match.run ~cancel ~vdd ~gnd ~max_findings ~layout:circuit
-              ~reference (),
-            None )
-        end
+  let r, hstats =
+    if hier then begin
+      let ref_view =
+        if ref_format = "verilog" then None
+        else Ace_lvs.Reference.hier_view ~name:"reference" ~gnd
+               reference_text
       in
-      let verdict =
-        match r.Ace_lvs.Match.outcome with
-        | Ace_lvs.Match.Clean -> "clean"
-        | Ace_lvs.Match.Mismatch -> "mismatch"
-        | Ace_lvs.Match.Inconclusive -> "inconclusive"
+      let layout, _ = Ace_hext.Hext.extract design in
+      let hr =
+        Ace_lvs.Hier.run ~cancel ~vdd ~gnd ~max_findings ~layout
+          ~reference ?ref_view ()
       in
-      let s = r.Ace_lvs.Match.stats in
-      let findings = r.Ace_lvs.Match.findings in
-      Ok
-        (Proto.obj
-           ([
-              ("verdict", Proto.str verdict);
-              ( "findings",
-                diags_json (List.map Ace_lvs.Report.to_diag findings) );
-              ( "fingerprints",
-                Proto.arr
-                  (List.map
-                     (fun f -> Proto.str (Ace_lvs.Report.fingerprint f))
-                     findings) );
-              ("devices", Proto.int s.Ace_lvs.Match.layout_devices);
-              ("ref_devices", Proto.int s.Ace_lvs.Match.ref_devices);
-              ("nets", Proto.int s.Ace_lvs.Match.layout_nets);
-              ("ref_nets", Proto.int s.Ace_lvs.Match.ref_nets);
-              ("matched", Proto.int s.Ace_lvs.Match.matched);
-              ("reductions", Proto.int s.Ace_lvs.Match.reductions);
-              ("rounds", Proto.int s.Ace_lvs.Match.rounds);
-            ]
-           @ (match hstats with
-             | Some hr ->
-                 [
-                   ("hier", Proto.bool true);
-                   ( "cell_matches",
-                     Proto.int hr.Ace_lvs.Hier.cell_matches );
-                   ("cell_hits", Proto.int hr.Ace_lvs.Hier.cell_hits);
-                   ("fallback", Proto.bool hr.Ace_lvs.Hier.fallback);
-                 ]
-             | None -> [])
-           @ [ ("ref_diags", diags_json ref_diags) ]))
+      (hr.Ace_lvs.Hier.r, Some hr)
+    end
+    else begin
+      let circuit, _ =
+        obtain_circuit t ~cancel ~use_cache ~jobs ~tile ~name design
+      in
+      ( Ace_lvs.Match.run ~cancel ~vdd ~gnd ~max_findings ~layout:circuit
+          ~reference (),
+        None )
+    end
+  in
+  let verdict =
+    match r.Ace_lvs.Match.outcome with
+    | Ace_lvs.Match.Clean -> "clean"
+    | Ace_lvs.Match.Mismatch -> "mismatch"
+    | Ace_lvs.Match.Inconclusive -> "inconclusive"
+  in
+  let s = r.Ace_lvs.Match.stats in
+  let findings = r.Ace_lvs.Match.findings in
+  Proto.obj
+    ([
+       ("verdict", Proto.str verdict);
+       ( "findings",
+         diags_json (List.map Ace_lvs.Report.to_diag findings) );
+       ( "fingerprints",
+         Proto.arr
+           (List.map
+              (fun f -> Proto.str (Ace_lvs.Report.fingerprint f))
+              findings) );
+       ("devices", Proto.int s.Ace_lvs.Match.layout_devices);
+       ("ref_devices", Proto.int s.Ace_lvs.Match.ref_devices);
+       ("nets", Proto.int s.Ace_lvs.Match.layout_nets);
+       ("ref_nets", Proto.int s.Ace_lvs.Match.ref_nets);
+       ("matched", Proto.int s.Ace_lvs.Match.matched);
+       ("reductions", Proto.int s.Ace_lvs.Match.reductions);
+       ("rounds", Proto.int s.Ace_lvs.Match.rounds);
+     ]
+    @ (match hstats with
+      | Some hr ->
+          [
+            ("hier", Proto.bool true);
+            ( "cell_matches",
+              Proto.int hr.Ace_lvs.Hier.cell_matches );
+            ("cell_hits", Proto.int hr.Ace_lvs.Hier.cell_hits);
+            ("fallback", Proto.bool hr.Ace_lvs.Hier.fallback);
+          ]
+      | None -> [])
+    @ [ ("ref_diags", diags_json ref_diags) ])
 
 let do_lvs t (r : Proto.request) cif =
   match r.Proto.reference with
@@ -417,40 +392,31 @@ let do_lvs t (r : Proto.request) cif =
         Proto.error ~id:r.Proto.id ~code:Proto.err_bad_request
           "field \"max_findings\" must be non-negative"
       else
-      let cache = if r.Proto.use_cache then t.config.cache else None in
-      let key =
-        Option.map
-          (fun _ ->
-            lvs_cache_key design ~name:r.Proto.name ~jobs ~tile
-              ~reference:reference_text ~vdd ~gnd ~hier ~ref_format
-              ~max_findings)
-          cache
-      in
-      let hit =
-        match (cache, key) with
-        | Some c, Some k -> Cache.find c k
-        | _ -> None
-      in
-      let computed =
-        match hit with
-        | Some payload -> Ok (payload, true)
-        | None -> (
-            match
+      match
+        through_cache t ~use_cache:r.Proto.use_cache
+          ~key:(fun () ->
+            cache_key design ~name:r.Proto.name
+              [
+                "lvs";
+                vdd;
+                gnd;
+                string_of_bool hier;
+                ref_format;
+                string_of_int max_findings;
+                reference_text;
+              ])
+          ~decode:Option.some
+          (fun () ->
+            let payload =
               lvs_payload t ~cancel ~use_cache:r.Proto.use_cache ~jobs ~tile
                 ~name:r.Proto.name ~vdd ~gnd ~hier ~ref_format ~max_findings
                 design reference_text
-            with
-            | Error msg -> Error msg
-            | Ok payload ->
-                (match (cache, key) with
-                | Some c, Some k -> Cache.store c k payload
-                | _ -> ());
-                Ok (payload, false))
-      in
-      match computed with
-      | Error msg ->
+            in
+            (payload, Lazy.from_val payload))
+      with
+      | exception Bad_reference msg ->
           Proto.error ~id:r.Proto.id ~code:Proto.err_bad_request msg
-      | Ok (payload, cached) ->
+      | payload, cached ->
           Proto.ok ~id:r.Proto.id ~op:"lvs"
             [
               ("cached", Proto.bool cached);

@@ -768,7 +768,14 @@ let test_warning_on_lost_label () =
   in
   let source = Ace_core.Engine.source_of_boxes [ (Layer.Metal, box ~l:0 ~b:0 ~r:4 ~t:4) ] in
   let raw = Ace_core.Engine.run Ace_core.Engine.default_config source ~labels in
-  check "warning emitted" true (raw.Ace_core.Engine.warnings <> [])
+  check "label reported unbound" true (raw.Ace_core.Engine.unbound = labels);
+  Alcotest.(check (list string))
+    "classified against the scanned extent"
+    [ {|label "L" at (100,100) lies above all geometry|} ]
+    (List.map
+       (fun (d : Ace_diag.Diag.t) -> d.message)
+       (Ace_core.Extractor.label_warnings ~y_extent:raw.Ace_core.Engine.y_extent
+          raw.Ace_core.Engine.unbound))
 
 let () =
   Alcotest.run "core"

@@ -36,11 +36,15 @@ let strips_tile (bb : Box.t) wins =
        (fun i -> wins.(i).Box.r = wins.(i + 1).Box.l)
        (Array.init (Array.length wins - 1) Fun.id)
 
+(* The [-j]-only partition: one row of full-height strips. *)
+let strips ~jobs bb =
+  Array.map (fun col -> col.(0)) (Parallel.tile_windows ~cols:jobs ~rows:1 bb)
+
 let test_windows_tile () =
   let bb = Box.make ~l:(-7) ~b:3 ~r:100 ~t:50 in
   List.iter
     (fun jobs ->
-      let wins = Parallel.windows ~jobs bb in
+      let wins = strips ~jobs bb in
       check "tiles" true (strips_tile bb wins);
       check "at most jobs" true (Array.length wins <= jobs))
     [ 1; 2; 3; 4; 7; 16 ]
@@ -48,7 +52,7 @@ let test_windows_tile () =
 let test_windows_narrow () =
   (* a 3-wide chip cannot support 4 strips: one strip per x unit, max *)
   let bb = Box.make ~l:0 ~b:0 ~r:3 ~t:9 in
-  let wins = Parallel.windows ~jobs:4 bb in
+  let wins = strips ~jobs:4 bb in
   check_int "three strips" 3 (Array.length wins);
   check "tiles" true (strips_tile bb wins)
 
@@ -62,7 +66,7 @@ let prop_windows =
       let* jobs = int_range 1 9 in
       return (Box.make ~l ~b ~r:(l + w) ~t:(b + h), jobs))
     (fun (bb, jobs) ->
-      let wins = Parallel.windows ~jobs bb in
+      let wins = strips ~jobs bb in
       strips_tile bb wins && Array.length wins <= jobs)
 
 (* ------------------------------------------------------------------ *)
@@ -110,12 +114,7 @@ let test_tile_windows () =
   let grid = Parallel.tile_windows ~cols:5 ~rows:5 tiny in
   check_int "clamped cols" 3 (Array.length grid);
   check_int "clamped rows" 2 (Array.length grid.(0));
-  check "clamped grid tiles" true (grid_tiles tiny grid);
-  (* strips are the 1-row special case of the grid *)
-  let strips = Parallel.windows ~jobs:4 bb in
-  let grid = Parallel.tile_windows ~cols:4 ~rows:1 bb in
-  check "windows = 1-row grid" true
-    (Array.to_list strips = Array.to_list (Array.map (fun c -> c.(0)) grid))
+  check "clamped grid tiles" true (grid_tiles tiny grid)
 
 let prop_tile_windows =
   Tutil.qtest ~count:200 "tile grids tile any box"
@@ -395,6 +394,31 @@ let test_horizontal_seam_device () =
     (fun (s : Parallel.shard) -> check_int "partial in tile" 1 s.s_partials)
     st.Parallel.shards
 
+(* Stray labels for [ast]: each picks its x and y from the chip bbox's
+   edges, its tile seams under [cols] x [rows], a point just outside it
+   and its middle, so strays land above, below, beside and between the
+   geometry and on tile boundaries. *)
+let with_strays ast ~cols ~rows strays =
+  match Ace_cif.Design.bbox (design_of ast) with
+  | None -> ast
+  | Some bb ->
+      let grid = Parallel.tile_windows ~cols ~rows bb in
+      let around lo hi seams =
+        Array.append [| lo - 7; lo; (lo + hi) / 2; hi - 1; hi; hi + 7 |] seams
+      in
+      let xs = around bb.l bb.r (Array.map (fun col -> col.(0).Box.l) grid) in
+      let ys = around bb.b bb.t (Array.map (fun (w : Box.t) -> w.b) grid.(0)) in
+      let label i (xi, yi, layer) =
+        Ace_cif.Ast.Label
+          {
+            name = Printf.sprintf "X%d" i;
+            position =
+              Point.make xs.(xi mod Array.length xs) ys.(yi mod Array.length ys);
+            layer;
+          }
+      in
+      { ast with top_level = ast.top_level @ List.mapi label strays }
+
 let prop_tiled_byte_identity =
   Tutil.qtest ~count:60 "tiled ≡ flat bytes on random designs and grids"
     QCheck2.Gen.(
@@ -402,12 +426,18 @@ let prop_tiled_byte_identity =
       let* cols = int_range 1 4 in
       let* rows = int_range 1 4 in
       let* jobs = int_range 1 4 in
-      return (ast, cols, rows, jobs))
-    (fun (ast, cols, rows, jobs) ->
-      let design = design_of ast in
-      Ace_netlist.Wirelist.to_string
-        (Parallel.extract ~jobs ~tile:(cols, rows) design)
-      = Ace_netlist.Wirelist.to_string (flat design))
+      let* strays =
+        list_size (int_range 0 6)
+          (triple (int_range 0 99) (int_range 0 99)
+             (opt (oneofl [ "NM"; "NP"; "ND" ])))
+      in
+      return (ast, cols, rows, jobs, strays))
+    (fun (ast, cols, rows, jobs, strays) ->
+      let design = design_of (with_strays ast ~cols ~rows strays) in
+      let tiled, st = Parallel.extract_with_stats ~jobs ~tile:(cols, rows) design in
+      let flat, flat_st = Ace_core.Extractor.extract_with_stats design in
+      Ace_netlist.Wirelist.to_string tiled = Ace_netlist.Wirelist.to_string flat
+      && st.Parallel.warnings = flat_st.Ace_core.Extractor.warnings)
 
 let test_stats () =
   let design = data_design "mesh4x4.cif" in

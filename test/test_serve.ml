@@ -365,14 +365,32 @@ let test_socket_extract () =
   check_s "extract: daemon wirelist = -j1 one-shot wirelist"
     (jstr (jget (jget jc "result") "wirelist"))
     (reference_wirelist inverter_cif);
-  (* a tiled request is a cache miss (the grid is in the key) but its
-     wirelist is byte-identical: tiling is invisible in the output *)
-  let tiled = jparse (rpc conn (extract_req ~id:7 ~tile:"2x2" inverter_cif)) in
-  check "extract: tiled reply ok, not cached"
-    (jbool (jget tiled "ok") && not (jbool (jget tiled "cached")));
+  (* tiling is invisible in the result, so the grid is not in the key: a
+     tiled request after the flat one is a warm hit on the flat entry,
+     and a flat request after a tiled cold run hits the tiled entry *)
+  let tiled = rpc conn (extract_req ~id:7 ~tile:"2x2" inverter_cif) in
+  let jt = jparse tiled in
+  check "extract: tiled reply after flat is a warm hit"
+    (jbool (jget jt "ok") && jbool (jget jt "cached"));
+  check_s "extract: tiled warm result byte-identical to flat cold"
+    (result_fragment tiled) (result_fragment cold);
+  let labels_cif = data_file "labels.cif" in
+  let tiled_cold = rpc conn (extract_req ~id:9 ~tile:"3x3" labels_cif) in
+  let flat_warm = rpc conn (extract_req ~id:10 labels_cif) in
+  let jtc = jparse tiled_cold and jfw = jparse flat_warm in
+  check "extract: tiled cold, then flat warm"
+    (jbool (jget jtc "ok")
+    && (not (jbool (jget jtc "cached")))
+    && jbool (jget jfw "cached"));
+  check_s "extract: flat warm result byte-identical to tiled cold"
+    (result_fragment flat_warm) (result_fragment tiled_cold);
   check_s "extract: tiled wirelist = -j1 one-shot wirelist"
-    (jstr (jget (jget tiled "result") "wirelist"))
-    (reference_wirelist inverter_cif);
+    (jstr (jget (jget jtc "result") "wirelist"))
+    (reference_wirelist labels_cif);
+  check "extract: tiled cold run carries the label warnings"
+    (match jget (jget jtc "result") "warnings" with
+    | Json.Arr ws -> List.length ws = 4
+    | _ -> false);
   let bad = jparse (rpc conn (extract_req ~id:8 ~tile:"0x2" inverter_cif)) in
   check "extract: malformed tile -> bad-request"
     (err_code bad = "bad-request");
