@@ -35,9 +35,11 @@ let boxes_of_shape ~quantum (shape : Ast.shape) =
             Poly.boxes_of_polygon ~quantum
               [ corner (-1.) (-1.); corner 1. (-1.); corner 1. 1.; corner (-1.) 1. ])
   | Ast.Polygon pts -> Poly.boxes_of_polygon ~quantum pts
-  | Ast.Wire { width; path } -> Poly.boxes_of_wire ~quantum ~width path
+  | Ast.Wire { width; path } ->
+      if width <= 0 then [] else Poly.boxes_of_wire ~quantum ~width path
   | Ast.Round_flash { diameter; center } ->
-      Poly.boxes_of_round_flash ~quantum ~diameter ~center
+      if diameter <= 0 then []
+      else Poly.boxes_of_round_flash ~quantum ~diameter ~center
 
 let shape_bbox (shape : Ast.shape) =
   match shape with
@@ -70,6 +72,7 @@ let shape_bbox (shape : Ast.shape) =
   | Ast.Wire { width; path } -> (
       match path with
       | [] -> None
+      | _ when width <= 0 -> None
       | (p0 : Point.t) :: rest ->
           let l, b, r, t =
             List.fold_left

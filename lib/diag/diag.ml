@@ -89,20 +89,33 @@ let to_string ?source d =
       Printf.sprintf "%s at line %d, column %d: %s\n  %s\n  %s" head line col
         d.message text caret
 
+(* Bytes that pass through unchanged are copied a run at a time. *)
 let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
+  let n = String.length s in
+  let buf = Buffer.create (n + 8) in
+  let rec go start =
+    let i = ref start in
+    while
+      !i < n
+      &&
+      let c = String.unsafe_get s !i in
+      c <> '"' && c <> '\\' && Char.code c >= 0x20
+    do
+      incr i
+    done;
+    Buffer.add_substring buf s start (!i - start);
+    if !i < n then begin
+      (match String.unsafe_get s !i with
       | '"' -> Buffer.add_string buf "\\\""
       | '\\' -> Buffer.add_string buf "\\\\"
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+      | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c)));
+      go (!i + 1)
+    end
+  in
+  go 0;
   Buffer.contents buf
 
 let to_json ?source d =

@@ -1,14 +1,6 @@
 module Trace = Ace_trace.Trace
 
-let fnv1a64_hex s =
-  let prime = 0x100000001b3L in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
-  Printf.sprintf "%016Lx" !h
+let fnv1a64_hex = Ace_diag.Fnv.hex
 
 let format_version = 1
 

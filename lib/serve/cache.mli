@@ -35,7 +35,7 @@
 type t
 
 val fnv1a64_hex : string -> string
-(** FNV-1a 64-bit hash, as 16 lowercase hex digits. *)
+(** {!Ace_diag.Fnv.hex}: FNV-1a 64-bit hash, as 16 lowercase hex digits. *)
 
 val format_version : int
 

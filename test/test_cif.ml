@@ -244,6 +244,154 @@ let test_roundtrip_labels () =
   let f' = parse (Ace_cif.Writer.to_string f) in
   check "stable" true (f = f')
 
+(* The writer as it was, on Printf: the byte-for-byte reference for the
+   Buffer-only writer, which cache keys depend on. *)
+module Printf_writer = struct
+  open Ace_cif
+
+  let op_to_string = function
+    | Ast.Translate (dx, dy) -> Printf.sprintf "T %d %d" dx dy
+    | Ast.Mirror_x -> "M X"
+    | Ast.Mirror_y -> "M Y"
+    | Ast.Rotate (a, b) -> Printf.sprintf "R %d %d" a b
+
+  let add_points buf pts =
+    List.iter (fun (p : Point.t) -> Printf.bprintf buf " %d %d" p.x p.y) pts
+
+  let add_shape buf layer shape =
+    Printf.bprintf buf "L %s; " layer;
+    (match shape with
+    | Ast.Box { length; width; center; direction } -> (
+        Printf.bprintf buf "B %d %d %d %d" length width center.x center.y;
+        match direction with
+        | None -> ()
+        | Some d -> Printf.bprintf buf " %d %d" d.x d.y)
+    | Ast.Polygon pts ->
+        Buffer.add_char buf 'P';
+        add_points buf pts
+    | Ast.Wire { width; path } ->
+        Printf.bprintf buf "W %d" width;
+        add_points buf path
+    | Ast.Round_flash { diameter; center } ->
+        Printf.bprintf buf "R %d %d %d" diameter center.x center.y);
+    Buffer.add_string buf ";\n"
+
+  let element buf = function
+    | Ast.Shape { layer; shape } -> add_shape buf layer shape
+    | Ast.Call { symbol; ops } ->
+        Printf.bprintf buf "C %d" symbol;
+        List.iter (fun op -> Printf.bprintf buf " %s" (op_to_string op)) ops;
+        Buffer.add_string buf ";\n"
+    | Ast.Label { name; position; layer } ->
+        Printf.bprintf buf "94 %s %d %d" name position.x position.y;
+        (match layer with None -> () | Some l -> Printf.bprintf buf " %s" l);
+        Buffer.add_string buf ";\n"
+    | Ast.Comment_ext text -> Printf.bprintf buf "%s;\n" text
+
+  let to_string (file : Ast.file) =
+    let buf = Buffer.create 4096 in
+    List.iter
+      (fun (def : Ast.symbol_def) ->
+        Printf.bprintf buf "DS %d 1 1;\n" def.id;
+        (match def.name with
+        | Some name -> Printf.bprintf buf "9 %s;\n" name
+        | None -> ());
+        List.iter (element buf) def.elements;
+        Buffer.add_string buf "DF;\n")
+      file.symbols;
+    List.iter (element buf) file.top_level;
+    Buffer.add_string buf "E\n";
+    Buffer.contents buf
+end
+
+(* Arbitrary ASTs, not only parseable ones: every element kind, all four
+   transform ops, optional directions, names and label layers, and the
+   integer extremes. *)
+let gen_any_file =
+  let open QCheck2.Gen in
+  let module Ast = Ace_cif.Ast in
+  let num =
+    frequency
+      [
+        (1, oneofl [ min_int; max_int; min_int + 1; max_int - 1; 0; -1; 9; 10 ]);
+        (4, int_range (-1000) 1000);
+        (2, int);
+      ]
+  in
+  let point = map2 Point.make num num in
+  let word = string_size ~gen:(char_range 'A' 'z') (int_range 0 6) in
+  let shape =
+    oneof
+      [
+        map2
+          (fun (length, width) (center, direction) ->
+            Ast.Box { length; width; center; direction })
+          (pair num num) (pair point (option point));
+        map (fun pts -> Ast.Polygon pts) (list_size (int_range 0 6) point);
+        map2
+          (fun width path -> Ast.Wire { width; path })
+          num
+          (list_size (int_range 0 6) point);
+        map2
+          (fun diameter center -> Ast.Round_flash { diameter; center })
+          num point;
+      ]
+  in
+  let op =
+    oneof
+      [
+        map2 (fun x y -> Ast.Translate (x, y)) num num;
+        return Ast.Mirror_x;
+        return Ast.Mirror_y;
+        map2 (fun a b -> Ast.Rotate (a, b)) num num;
+      ]
+  in
+  let element =
+    oneof
+      [
+        map2 (fun layer shape -> Ast.Shape { layer; shape }) word shape;
+        map2
+          (fun symbol ops -> Ast.Call { symbol; ops })
+          num
+          (list_size (int_range 0 4) op);
+        map3
+          (fun name position layer -> Ast.Label { name; position; layer })
+          word point (option word);
+        map (fun t -> Ast.Comment_ext ("5 " ^ t)) word;
+      ]
+  in
+  let elements = list_size (int_range 0 8) element in
+  let symbol =
+    map3
+      (fun id name elements -> { Ast.id; name; elements })
+      num (option word) elements
+  in
+  map2
+    (fun symbols top_level -> { Ast.symbols; top_level })
+    (list_size (int_range 0 3) symbol)
+    elements
+
+let prop_writer_matches_printf =
+  Tutil.qtest ~count:500 "writer equals the Printf writer on random ASTs"
+    gen_any_file (fun file ->
+      Ace_cif.Writer.to_string file = Printf_writer.to_string file)
+
+let test_writer_matches_printf_corpus () =
+  let dir = List.find Sys.file_exists [ "../data"; "data"; "_build/default/data" ] in
+  let cifs =
+    List.filter
+      (fun f -> Filename.check_suffix f ".cif")
+      (Array.to_list (Sys.readdir dir))
+  in
+  check "corpus found" true (cifs <> []);
+  List.iter
+    (fun f ->
+      let text = In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all in
+      let ast, _ = Ace_cif.Parser.parse_string_lenient text in
+      if Ace_cif.Writer.to_string ast <> Printf_writer.to_string ast then
+        Alcotest.failf "%s: writer output differs from the Printf writer" f)
+    cifs
+
 (* ------------------------------------------------------------------ *)
 (* Design semantic checks                                               *)
 (* ------------------------------------------------------------------ *)
@@ -556,6 +704,9 @@ let () =
         [
           prop_roundtrip;
           Alcotest.test_case "labels round-trip" `Quick test_roundtrip_labels;
+          prop_writer_matches_printf;
+          Alcotest.test_case "corpus equals the Printf writer" `Quick
+            test_writer_matches_printf_corpus;
         ] );
       ( "design",
         [

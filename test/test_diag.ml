@@ -198,6 +198,22 @@ let test_degenerate_wire_and_flash () =
   let circuit = Ace_core.Extractor.extract d in
   check "extraction total" true (Ace_netlist.Circuit.validate circuit = [])
 
+let test_strict_negative_width_wire () =
+  (* found by the fuzz harness: strict of_ast keeps a negative-width
+     wire, whose bounding box used to come out inverted and raise from
+     Box.make.  A wire of width <= 0, like a flash of diameter <= 0, has
+     no geometry in strict mode too, so strict and lenient agree. *)
+  let src = "L ND; B 4 4 0 0; W -30 0 0 10 0; W 0 5 5 5 9; R 0 3 3; E" in
+  let strict = Design.of_ast (Parser.parse_string src) in
+  let lenient, diags = design_lenient src in
+  check "lenient warned" true (has_code "sem-degenerate-box" diags);
+  check_int "strict boxes" 1 (Design.count_boxes strict);
+  check_int "lenient boxes" 1 (Design.count_boxes lenient);
+  check "same bbox" true (Design.bbox strict = Design.bbox lenient);
+  check "strict extraction total" true
+    (Ace_netlist.Wirelist.to_string (Ace_core.Extractor.extract strict)
+    = Ace_netlist.Wirelist.to_string (Ace_core.Extractor.extract lenient))
+
 let test_coordinate_overflow_guard () =
   let d, diags = design_lenient "L ND; B 2 2 2305843009213693951 0; E" in
   check "warned" true (has_code "sem-coordinate-overflow" diags);
@@ -274,6 +290,167 @@ let test_agreement_errors () =
       "DS 1; DF; E"; "DF; E"; "(x; E"; "L ND; B 2 2 0 0;";
     ]
 
+let test_fnv_known_answers () =
+  List.iter
+    (fun (input, digest) ->
+      check_string (Printf.sprintf "fnv1a64 %S" input) digest
+        (Ace_diag.Fnv.hex input))
+    [
+      ("", "cbf29ce484222325");
+      ("a", "af63dc4c8601ec8c");
+      ("foobar", "85944171f73967e8");
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* JSON strings: the run-copying escaper and reader against per-byte    *)
+(* references                                                           *)
+(* ------------------------------------------------------------------ *)
+
+module Json = Ace_trace.Json
+
+(* The escaper as it was: one decision and one append per byte. *)
+let ref_escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
+
+(* The string-literal reader as it was, one byte at a time, with the
+   same errors at the same byte offsets.  [src] holds exactly one
+   literal, starting at byte 0. *)
+let ref_parse_literal src =
+  let n = String.length src in
+  let pos = ref 1 in
+  let fail msg = Error (Printf.sprintf "%s at byte %d" msg !pos) in
+  let b = Buffer.create 16 in
+  let utf8 code =
+    if code < 0x80 then Buffer.add_char b (Char.chr code)
+    else if code < 0x800 then begin
+      Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
+      Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+    end
+    else begin
+      Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
+      Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+      Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+    end
+  in
+  let rec loop () =
+    if !pos >= n then fail "unterminated string"
+    else begin
+      let c = src.[!pos] in
+      incr pos;
+      match c with
+      | '"' ->
+          if !pos = n then Ok (Buffer.contents b) else Error "trailing garbage"
+      | '\\' -> (
+          if !pos >= n then fail "unterminated escape"
+          else
+            let e = src.[!pos] in
+            incr pos;
+            let simple c =
+              Buffer.add_char b c;
+              loop ()
+            in
+            match e with
+            | '"' -> simple '"'
+            | '\\' -> simple '\\'
+            | '/' -> simple '/'
+            | 'b' -> simple '\b'
+            | 'f' -> simple '\012'
+            | 'n' -> simple '\n'
+            | 'r' -> simple '\r'
+            | 't' -> simple '\t'
+            | 'u' -> (
+                if !pos + 4 > n then fail "short \\u"
+                else
+                  let hex = String.sub src !pos 4 in
+                  pos := !pos + 4;
+                  match int_of_string_opt ("0x" ^ hex) with
+                  | None -> fail "bad \\u escape"
+                  | Some code ->
+                      utf8 code;
+                      loop ())
+            | _ -> fail "bad escape")
+      | c when Char.code c < 0x20 -> fail "control character in string"
+      | c ->
+          Buffer.add_char b c;
+          loop ()
+    end
+  in
+  loop ()
+
+(* Bytes that stress both sides: quotes, backslashes, every control
+   byte, high bytes, the letters of escapes and hex digits. *)
+let gen_json_byte =
+  QCheck2.Gen.(
+    frequency
+      [
+        (2, return '"');
+        (3, return '\\');
+        (3, map Char.chr (int_range 0 0x1f));
+        (2, map Char.chr (int_range 0x80 0xff));
+        (2, oneofl [ 'u'; 'n'; 'r'; 't'; 'b'; 'f'; '/'; 'x' ]);
+        (2, oneofl [ '0'; '7'; 'a'; 'F'; 'e'; 'd' ]);
+        (6, map Char.chr (int_range 0x20 0x7e));
+      ])
+
+let gen_json_bytes = QCheck2.Gen.(string_size ~gen:gen_json_byte (int_range 0 80))
+
+let prop_escape_matches_reference =
+  Tutil.qtest ~count:1000 "json_escape equals the per-byte escaper"
+    gen_json_bytes (fun s -> Diag.json_escape s = ref_escape s)
+
+let prop_parse_inverts_escape =
+  Tutil.qtest ~count:1000 "parse (escape s) = s" gen_json_bytes (fun s ->
+      Json.parse ("\"" ^ Diag.json_escape s ^ "\"") = Ok (Json.Str s))
+
+(* Literal bodies built from plain bytes, valid escapes (including \u
+   with random hex) and raw bytes that can be errors: the reader must
+   agree with the reference on the value or on the error and its byte
+   offset.  A raw quote ends the literal early, so trailing garbage is
+   covered too. *)
+let gen_literal_body =
+  let open QCheck2.Gen in
+  let hex = oneofl (List.init 16 (fun i -> "0123456789abcdef".[i])) in
+  let piece =
+    frequency
+      [
+        (6, map (String.make 1) gen_json_byte);
+        ( 3,
+          map
+            (fun c -> "\\" ^ String.make 1 c)
+            (oneofl [ '"'; '\\'; '/'; 'b'; 'f'; 'n'; 'r'; 't'; 'q' ]) );
+        ( 2,
+          map
+            (fun cs -> "\\u" ^ String.init (List.length cs) (List.nth cs))
+            (list_size (int_range 0 4) hex) );
+      ]
+  in
+  map (String.concat "") (list_size (int_range 0 30) piece)
+
+let prop_parse_matches_reference =
+  Tutil.qtest ~count:2000 "string reader equals the per-byte reader"
+    gen_literal_body (fun body ->
+      let src = "\"" ^ body ^ "\"" in
+      let got =
+        match Json.parse src with
+        | Ok (Json.Str s) -> Ok s
+        | Ok _ -> Error "not a string"
+        | Error m -> Error m
+      in
+      got = ref_parse_literal src)
+
 let () =
   Alcotest.run "diag"
     [
@@ -283,6 +460,8 @@ let () =
           Alcotest.test_case "json rendering" `Quick test_diag_json;
           Alcotest.test_case "severity order" `Quick test_diag_severity;
           Alcotest.test_case "collector cap" `Quick test_collector_cap;
+          Alcotest.test_case "fnv1a64 known answers" `Quick
+            test_fnv_known_answers;
         ] );
       ( "parser-recovery",
         [
@@ -313,11 +492,19 @@ let () =
           Alcotest.test_case "degenerate box" `Quick test_degenerate_box;
           Alcotest.test_case "degenerate wire and flash" `Quick
             test_degenerate_wire_and_flash;
+          Alcotest.test_case "strict negative-width wire" `Quick
+            test_strict_negative_width_wire;
           Alcotest.test_case "coordinate overflow" `Quick
             test_coordinate_overflow_guard;
           Alcotest.test_case "bad rotation" `Quick test_bad_rotation;
           Alcotest.test_case "broken.cif extracts" `Quick
             test_lenient_design_extracts;
+        ] );
+      ( "json",
+        [
+          prop_escape_matches_reference;
+          prop_parse_inverts_escape;
+          prop_parse_matches_reference;
         ] );
       ( "agreement",
         [
