@@ -1,4 +1,4 @@
-(** Minimal JSON reader for validating exported traces. *)
+(** Minimal JSON reader for [aced] requests and exported traces. *)
 
 type t =
   | Null

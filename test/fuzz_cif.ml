@@ -309,10 +309,10 @@ let run_one input =
                   if has_error sdiags then
                     fail_input "strict design ok but lenient errored" input
                       (Failure "disagreement");
-                  (* lenient box counting must be total even where strict
-                     counting raises (degenerate wires/flashes slip past
-                     of_ast); only compare counts when strict succeeds and
-                     the design is small enough to decompose quickly *)
+                  (* degenerate wires and flashes slip past strict of_ast
+                     but have no geometry there either, so both counts are
+                     total and equal; only compare them when the design is
+                     small enough to decompose quickly *)
                   let small =
                     match Design.bbox strict_design with
                     | None -> true
@@ -326,7 +326,8 @@ let run_one input =
                         fail_input "lenient count_boxes raised" input e
                     | lenient_count -> (
                         match Design.count_boxes strict_design with
-                        | exception _ -> () (* latent strict-mode weakness *)
+                        | exception e ->
+                            fail_input "strict count_boxes raised" input e
                         | strict_count ->
                             if strict_count <> lenient_count then
                               fail_input "strict and lenient designs differ"
