@@ -88,6 +88,19 @@ val with_track : tid:int -> name:string -> (unit -> 'a) -> 'a
 
 val current_track : unit -> int * string
 
+type lane
+(** A track owned by one thread.  Threads of one domain share its
+    track, so a span that blocks — a read from a client — would
+    interleave with the spans other threads emit meanwhile; a lane gives
+    such spans a track of their own. *)
+
+val lane : tid:int -> name:string -> lane
+(** A lane with the given Chrome tid and thread name.  Its track is
+    registered at the first span recorded on it. *)
+
+val with_lane_span : lane -> string -> (unit -> 'a) -> 'a
+(** {!with_span} on the lane's track.  Only one thread may use a lane. *)
+
 (** {1 Sessions} *)
 
 type ekind = Begin | End | Instant
@@ -111,7 +124,9 @@ val start : unit -> unit
 
 val stop : unit -> session
 (** Stops recording and snapshots all tracks (sorted by tid; same-tid
-    buffers merged in creation order; empty tracks elided). *)
+    buffers merged in creation order; empty tracks elided).  A span
+    still open — its thread has not left it yet — is closed at the stop
+    time, so every track balances. *)
 
 val session_counter_totals : session -> (Counter.t * int) list
 

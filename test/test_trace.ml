@@ -183,6 +183,22 @@ let test_track_restored_on_raise () =
        with Boom -> ());
       check "track restored" true (Trace.current_track () = before))
 
+(* A session stopped inside spans — here one on a lane and one on the
+   domain's track — exports them closed, and the lane as its own track. *)
+let test_open_spans_closed_at_stop () =
+  record (fun () ->
+      let lane = Trace.lane ~tid:4242 ~name:"lane" in
+      let session =
+        Trace.with_lane_span lane "io" (fun () ->
+            Trace.with_span "outer" (fun () -> Trace.stop ()))
+      in
+      check "balanced at stop" true
+        (List.for_all track_well_formed session.tracks);
+      check "lane exported as its own track" true
+        (List.exists (fun t -> t.Trace.t_tid = 4242) session.tracks);
+      check "renders valid" true
+        (Result.is_ok (Chrome.validate (Chrome.render session))))
+
 (* ------------------------------------------------------------------ *)
 (* Extraction accounting: shards, totals, Timing agreement             *)
 (* ------------------------------------------------------------------ *)
@@ -336,6 +352,8 @@ let () =
             test_timed_elapsed_on_raise;
           Alcotest.test_case "track restored on raise" `Quick
             test_track_restored_on_raise;
+          Alcotest.test_case "open spans closed at stop" `Quick
+            test_open_spans_closed_at_stop;
         ] );
       ( "extraction",
         [
